@@ -1,4 +1,4 @@
-// Closed-loop harness for the incremental engines (ROADMAP item 4): how
+// Closed-loop harness for the incremental engines: how
 // much does delta maintenance buy over recomputing from scratch when a
 // live corpus mutates?
 //

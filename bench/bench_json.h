@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace rankties {
@@ -41,7 +42,10 @@ inline std::string Escape(const std::string& raw) {
 class Record {
  public:
   Record& Str(const std::string& key, const std::string& value) {
-    return Raw(key, "\"" + Escape(value) + "\"");
+    std::string quoted = "\"";
+    quoted += Escape(value);
+    quoted += '"';
+    return Raw(key, std::move(quoted));
   }
   Record& Num(const std::string& key, double value) {
     char buffer[64];
@@ -59,7 +63,10 @@ class Record {
     std::string out = "{";
     for (std::size_t i = 0; i < keys_.size(); ++i) {
       if (i) out += ", ";
-      out += "\"" + Escape(keys_[i]) + "\": " + values_[i];
+      out += '"';
+      out += Escape(keys_[i]);
+      out += "\": ";
+      out += values_[i];
     }
     out += "}";
     return out;

@@ -1,15 +1,20 @@
 // Observability overhead harness (docs/OBSERVABILITY.md).
 //
 // Measures what the src/obs subsystem costs the hot paths it instruments:
-//  * end-to-end — DistanceMatrix wall time with collection + tracing ON vs
-//    OFF, reported as overhead_pct (the CI bench gate asserts < 2%);
+//  * end-to-end — DistanceMatrix wall time with metric collection and the
+//    flight recorder ON vs OFF, reported as overhead_pct (the CI bench
+//    gate asserts < 2%);
 //  * full pipeline — the gated bench_pairwise case shapes (m=64, n=1000,
 //    Kprof/KHaus/FHaus, threads=1, tied inputs) with the entire telemetry
-//    pipeline live: metrics + trace recorder + flight recorder + a 100 ms
-//    background sampler + an enclosing query unit, vs everything off.
-//    Reported as obs_pipeline_overhead; the CI bench gate asserts < 1%;
-//  * primitives — ns/op of Counter::Add, Histogram::Record, and a
-//    TraceSpan while recording.
+//    pipeline live: metrics + flight recorder + an enclosing query unit,
+//    vs everything off. Reported as obs_pipeline_overhead; the CI bench
+//    gate asserts < 1%;
+//  * primitives — ns/op of Counter::Add (enabled and runtime-disabled),
+//    Histogram::Record, a FlightSpan while recording and while the
+//    recorder is off (records named trace_span), and one point event
+//    while recording (flight_record). A span reads the clock twice and a
+//    point event once, so trace_span/recording should stay within 2x of
+//    flight_record/enabled; a disabled span reads no clock at all.
 //
 // With -DRANKTIES_OBS_DISABLED the same binary measures the compiled-out
 // configuration: every primitive optimizes to nothing and the end-to-end
@@ -19,7 +24,6 @@
 // metrics block) for the CI bench-regression gate.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -105,16 +109,16 @@ OverheadResult MeasureOverhead() {
     }
 
     obs::SetEnabled(true);
-    obs::TraceRecorder::Global().Start();
+    obs::FlightRecorder::Global().SetEnabled(true);
     const double on = TimeMatrixOnce(lists);
-    obs::TraceRecorder::Global().Stop();
+    obs::FlightRecorder::Global().SetEnabled(false);
+    obs::SetEnabled(false);
     if (rep == 0 || on < result.enabled_seconds) {
       result.enabled_seconds = on;
     }
     if (off > 0.0) ratios.push_back(on / off);
   }
   result.overhead_pct = MedianRatioPct(std::move(ratios));
-  obs::SetEnabled(false);
   return result;
 }
 
@@ -143,13 +147,6 @@ constexpr std::size_t kPipelineDomain = 1000;
 // 1/sqrt(pairs), and 120 pairs keep the median ratio (see
 // MeasurePipelineOverhead) stable under 1% even on a single-core host.
 constexpr int kPipelineReps = 120;
-// Production-style sampling cadence (matches the docs example). The
-// period matters on small runners: the sampler is an extra thread, and on
-// a single-core machine every snapshot steals time from the measured
-// thread itself — at a period P the steady-state steal is snapshot_cost/P,
-// so an aggressive cadence puts a floor under the measurable overhead
-// that has nothing to do with the instrumented call sites.
-constexpr std::chrono::milliseconds kPipelineSamplerPeriod{100};
 
 double TimeMatrixOnce(MetricKind kind,
                       const std::vector<BucketOrder>& lists) {
@@ -163,9 +160,9 @@ double TimeMatrixOnce(MetricKind kind,
 
 // Everything-on vs everything-off on one gated bench_pairwise shape.
 // "On" is the full pipeline a production-style deployment would run:
-// metrics, span recording, flight recorder, a 100 ms background sampler,
-// and a query unit attributing the work. Same median-of-pair-ratios
-// estimator as MeasureOverhead, with a deeper pool for the tighter gate.
+// metrics, the flight recorder, and a query unit attributing the work.
+// Same median-of-pair-ratios estimator as MeasureOverhead, with a deeper
+// pool for the tighter gate.
 OverheadResult MeasurePipelineOverhead(MetricKind kind) {
   const std::vector<BucketOrder> lists =
       MakeTiedLists(kPipelineLists, kPipelineDomain,
@@ -184,17 +181,13 @@ OverheadResult MeasurePipelineOverhead(MetricKind kind) {
     }
 
     obs::SetEnabled(true);
-    obs::TraceRecorder::Global().Start();
     obs::FlightRecorder::Global().SetEnabled(true);
-    obs::Sampler::Global().Start(kPipelineSamplerPeriod);
     double on;
     {
       obs::QueryUnitScope unit("bench.obs.pipeline");
       on = TimeMatrixOnce(kind, lists);
     }
-    obs::Sampler::Global().Stop();
     obs::FlightRecorder::Global().SetEnabled(false);
-    obs::TraceRecorder::Global().Stop();
     if (rep == 0 || on < result.enabled_seconds) {
       result.enabled_seconds = on;
     }
@@ -225,21 +218,32 @@ double HistogramRecordNsPerOp() {
   return seconds * 1e9 / static_cast<double>(kPrimitiveOps);
 }
 
-double TraceSpanNsPerOp() {
-  // Far fewer ops: each span takes the recorder mutex at destruction, and
-  // the buffer caps at kMaxSpans.
-  const std::int64_t ops = 100'000;
-  obs::SetEnabled(true);
-  obs::TraceRecorder::Global().Start();
+// One FlightSpan per op; the ring wraps, so memory stays bounded.
+double SpanNsPerOp(bool recording) {
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
+  recorder.SetEnabled(recording);
   Stopwatch watch;
-  for (std::int64_t i = 0; i < ops; ++i) {
-    obs::TraceSpan span("bench.obs.span");
-    span.SetItems(i);
+  for (std::int64_t i = 0; i < kPrimitiveOps; ++i) {
+    obs::FlightSpan span(obs::FlightEventId::kBatchMatrix);
+    span.SetArgs(i);
   }
   const double seconds = watch.Seconds();
-  obs::TraceRecorder::Global().Stop();
-  obs::SetEnabled(false);
-  return seconds * 1e9 / static_cast<double>(ops);
+  recorder.SetEnabled(false);
+  recorder.Clear();
+  return seconds * 1e9 / static_cast<double>(kPrimitiveOps);
+}
+
+double FlightRecordNsPerOp() {
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
+  recorder.SetEnabled(true);
+  Stopwatch watch;
+  for (std::int64_t i = 0; i < kPrimitiveOps; ++i) {
+    RANKTIES_FLIGHT(obs::FlightEventId::kIncrementalMove, i);
+  }
+  const double seconds = watch.Seconds();
+  recorder.SetEnabled(false);
+  recorder.Clear();
+  return seconds * 1e9 / static_cast<double>(kPrimitiveOps);
 }
 
 int RunJsonMode() {
@@ -263,7 +267,9 @@ int RunJsonMode() {
   const double counter_enabled_ns = CounterAddNsPerOp(true);
   const double counter_disabled_ns = CounterAddNsPerOp(false);
   const double histogram_ns = HistogramRecordNsPerOp();
-  const double span_ns = TraceSpanNsPerOp();
+  const double span_ns = SpanNsPerOp(true);
+  const double span_disabled_ns = SpanNsPerOp(false);
+  const double flight_ns = FlightRecordNsPerOp();
 
   std::vector<benchjson::Record> records;
   {
@@ -305,6 +311,8 @@ int RunJsonMode() {
       {"counter_add", "runtime_disabled", counter_disabled_ns},
       {"histogram_record", "enabled", histogram_ns},
       {"trace_span", "recording", span_ns},
+      {"trace_span", "runtime_disabled", span_disabled_ns},
+      {"flight_record", "enabled", flight_ns},
   };
   for (const auto& primitive : primitives) {
     benchjson::Record record;
@@ -343,14 +351,14 @@ void RunHumanMode() {
       kLists, kDomain, kReps);
   std::printf("  collection off : %.6f s (best rep)\n",
               overhead.baseline_seconds);
-  std::printf("  collection on  : %.6f s (counters + trace recording)\n",
+  std::printf("  collection on  : %.6f s (counters + flight recorder)\n",
               overhead.enabled_seconds);
   std::printf("  overhead       : %+.3f%%  (target < 2%%)\n",
               overhead.overhead_pct);
   std::printf(
-      "\nfull pipeline (metrics + spans + flight + 100ms sampler + query "
-      "unit),\nDistanceMatrix m=%zu n=%zu threads=1, median ratio of %d "
-      "off/on rep pairs:\n",
+      "\nfull pipeline (metrics + flight recorder + query unit),\n"
+      "DistanceMatrix m=%zu n=%zu threads=1, median ratio of %d off/on rep "
+      "pairs:\n",
       kPipelineLists, kPipelineDomain, kPipelineReps);
   ThreadPool::SetGlobalThreads(1);
   for (MetricKind kind :
@@ -369,8 +377,12 @@ void RunHumanMode() {
               CounterAddNsPerOp(false));
   std::printf("  Histogram::Record enabled      : %8.2f\n",
               HistogramRecordNsPerOp());
-  std::printf("  TraceSpan while recording      : %8.2f\n",
-              TraceSpanNsPerOp());
+  std::printf("  FlightSpan while recording     : %8.2f\n",
+              SpanNsPerOp(true));
+  std::printf("  FlightSpan runtime-disabled    : %8.2f\n",
+              SpanNsPerOp(false));
+  std::printf("  RANKTIES_FLIGHT enabled        : %8.2f\n",
+              FlightRecordNsPerOp());
 }
 
 }  // namespace

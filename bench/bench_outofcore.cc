@@ -1,7 +1,7 @@
-// Closed-loop harness for the out-of-core shard-at-a-time engines
-// (ROADMAP item 3): what does streaming a corpus through the block cache
-// cost against the in-RAM engines, and does the cache stay inside its
-// budget while the corpus is several times larger?
+// Closed-loop harness for the out-of-core shard-at-a-time engines: what
+// does streaming a corpus through the block cache cost against the in-RAM
+// engines, and does the cache stay inside its budget while the corpus is
+// several times larger?
 //
 // The harness writes a skewed synthetic corpus (gen/score_dist.h — Pareto
 // and skew-normal score draws, quantized into ties) to a

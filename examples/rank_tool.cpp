@@ -3,22 +3,18 @@
 //
 // Usage:
 //   rank_tool [--threads N] [--trace=<file>] [--metrics]
-//             [--metrics-out <file>] [--openmetrics=<file>]
-//             [--perfetto=<file>] [--flight-dump=<file>] <command> ...
+//             [--metrics-out <file>] [--openmetrics=<file>] <command> ...
 //
 //   --threads N sets the worker count for the batch metric engine (dist and
 //   agg use it); it overrides the RANKTIES_THREADS environment variable.
-//   --trace=<file> records trace spans during the command and writes a
-//   rankties-trace-v1 JSON document (see docs/OBSERVABILITY.md) to <file>.
+//   --trace=<file> enables the flight recorder during the command and
+//   writes its events as Chrome trace-event JSON to <file> (loads in
+//   ui.perfetto.dev / chrome://tracing; see docs/OBSERVABILITY.md).
 //   --metrics enables metric collection and prints the counter/histogram
 //   snapshot as one JSON object on stdout after the command output.
 //   --metrics-out <file> writes the same bare metrics JSON object to <file>.
 //   --openmetrics=<file> writes an OpenMetrics text exposition (counters,
-//   histograms, query-unit costs, SLO checks) to <file>.
-//   --perfetto=<file> records trace spans and writes Chrome trace-event
-//   JSON to <file> (loads in ui.perfetto.dev / chrome://tracing).
-//   --flight-dump=<file> enables the flight recorder and writes the
-//   rankties-flight-v1 event dump to <file>.
+//   histograms, query-unit costs) to <file>.
 //   The command runs inside a "rank_tool.<command>" query unit, so the
 //   OpenMetrics export carries its attributed costs. Any failed export
 //   write makes the exit status nonzero.
@@ -254,8 +250,6 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::string metrics_out_path;
   std::string openmetrics_path;
-  std::string perfetto_path;
-  std::string flight_path;
   bool print_metrics = false;
   int arg = 1;
   while (arg < argc && argv[arg][0] == '-') {
@@ -286,27 +280,14 @@ int main(int argc, char** argv) {
         return Fail("--openmetrics needs a file path");
       }
       arg += 1;
-    } else if (flag.rfind("--perfetto=", 0) == 0) {
-      perfetto_path = flag.substr(11);
-      if (perfetto_path.empty()) return Fail("--perfetto needs a file path");
-      arg += 1;
-    } else if (flag.rfind("--flight-dump=", 0) == 0) {
-      flight_path = flag.substr(14);
-      if (flight_path.empty()) {
-        return Fail("--flight-dump needs a file path");
-      }
-      arg += 1;
     } else {
       return Fail("unknown flag '" + flag + "'");
     }
   }
-  const bool want_spans = !trace_path.empty() || !perfetto_path.empty();
-  const bool want_metrics = want_spans || print_metrics ||
-                            !metrics_out_path.empty() ||
+  const bool want_metrics = print_metrics || !metrics_out_path.empty() ||
                             !openmetrics_path.empty();
   if (want_metrics) obs::SetEnabled(true);
-  if (want_spans) obs::TraceRecorder::Global().Start();
-  if (!flight_path.empty()) obs::FlightRecorder::Global().SetEnabled(true);
+  if (!trace_path.empty()) obs::FlightRecorder::Global().SetEnabled(true);
 
   int rc;
   {
@@ -319,14 +300,10 @@ int main(int argc, char** argv) {
     rc = Dispatch(argc - (arg - 1), argv + (arg - 1));
   }
 
-  if (want_spans) obs::TraceRecorder::Global().Stop();
+  obs::FlightRecorder::Global().SetEnabled(false);
   bool export_failed = false;
-  if (!trace_path.empty() && !obs::WriteTraceJson(trace_path)) {
+  if (!trace_path.empty() && !obs::WritePerfettoJson(trace_path)) {
     Fail("cannot write trace to '" + trace_path + "'");
-    export_failed = true;
-  }
-  if (!perfetto_path.empty() && !obs::WritePerfettoJson(perfetto_path)) {
-    Fail("cannot write perfetto trace to '" + perfetto_path + "'");
     export_failed = true;
   }
   if (!metrics_out_path.empty() && !obs::WriteMetricsJson(metrics_out_path)) {
@@ -335,10 +312,6 @@ int main(int argc, char** argv) {
   }
   if (!openmetrics_path.empty() && !obs::WriteOpenMetrics(openmetrics_path)) {
     Fail("cannot write openmetrics to '" + openmetrics_path + "'");
-    export_failed = true;
-  }
-  if (!flight_path.empty() && !obs::WriteFlightJson(flight_path)) {
-    Fail("cannot write flight dump to '" + flight_path + "'");
     export_failed = true;
   }
   if (print_metrics) {

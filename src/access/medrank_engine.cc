@@ -22,7 +22,7 @@ StatusOr<MedrankResult> MedrankTopK(
   result.accesses_per_list.assign(m, 0);
   if (k == 0) return result;
 
-  obs::TraceSpan span("access.medrank_topk");
+  obs::FlightSpan span(obs::FlightEventId::kMedrankRun);
   RANKTIES_OBS_COUNT("access.medrank.runs", 1);
 
   std::vector<std::int32_t> seen_count(n, 0);
@@ -47,12 +47,10 @@ StatusOr<MedrankResult> MedrankTopK(
     }
   }
   for (std::int64_t a : result.accesses_per_list) result.total_accesses += a;
-  span.SetItems(result.total_accesses);
+  span.SetArgs(static_cast<std::int64_t>(k), result.total_accesses,
+               result.depth);
   RANKTIES_OBS_COUNT("access.medrank.sorted_accesses", result.total_accesses);
   RANKTIES_OBS_RECORD("access.medrank.depth", result.depth);
-  RANKTIES_FLIGHT(obs::FlightEventId::kMedrankRun,
-                  static_cast<std::int64_t>(k), result.total_accesses,
-                  result.depth);
   return result;
 }
 

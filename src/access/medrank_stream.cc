@@ -12,7 +12,7 @@ std::optional<ElementId> MedrankStream::NextWinner() {
   // Counter delta = accesses performed by this call alone; the running
   // total stays in total_accesses_ for callers that want the cumulative.
   const std::int64_t accesses_before = total_accesses_;
-  obs::TraceSpan span("access.medrank_stream.next_winner");
+  obs::FlightSpan span(obs::FlightEventId::kMedrankStreamNextWinner);
   if (!initialized_) {
     initialized_ = true;
     if (sources_.empty()) {
@@ -50,18 +50,16 @@ std::optional<ElementId> MedrankStream::NextWinner() {
         // continues where it stopped.
         next_list_ = (i + 1) % sources_.size();
         winners_.push_back(access->element);
-        span.SetItems(total_accesses_ - accesses_before);
+        span.SetArgs(static_cast<std::int64_t>(access->element),
+                     total_accesses_ - accesses_before, total_accesses_);
         RANKTIES_OBS_COUNT("access.medrank_stream.sorted_accesses",
                            total_accesses_ - accesses_before);
-        RANKTIES_FLIGHT(obs::FlightEventId::kMedrankStreamWinner,
-                        static_cast<std::int64_t>(access->element),
-                        total_accesses_);
         return access->element;
       }
     }
     if (!any_alive) exhausted_ = true;
   }
-  span.SetItems(total_accesses_ - accesses_before);
+  span.SetArgs(-1, total_accesses_ - accesses_before, total_accesses_);
   RANKTIES_OBS_COUNT("access.medrank_stream.sorted_accesses",
                      total_accesses_ - accesses_before);
   return std::nullopt;

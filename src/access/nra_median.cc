@@ -33,7 +33,7 @@ StatusOr<NraMedianResult> NraMedianTopK(
   result.accesses_per_list.assign(m, 0);
   if (k == 0) return result;
 
-  obs::TraceSpan span("access.nra_median");
+  obs::FlightSpan span(obs::FlightEventId::kNraRun);
   RANKTIES_OBS_COUNT("access.nra.runs", 1);
 
   // seen[e * m + i] = e's doubled position in list i, or -1 if unseen.
@@ -136,7 +136,7 @@ StatusOr<NraMedianResult> NraMedianTopK(
   for (std::int64_t a : result.accesses_per_list) result.total_accesses += a;
   // Access-cost accounting (docs/OBSERVABILITY.md): NRA performs sorted
   // accesses only; candidates counts elements partially seen at stop time.
-  span.SetItems(result.total_accesses);
+  span.SetArgs(static_cast<std::int64_t>(k), result.total_accesses);
   if (obs::Enabled()) {
     RANKTIES_OBS_COUNT("access.nra.sorted_accesses", result.total_accesses);
     std::int64_t candidates = 0;
@@ -150,8 +150,6 @@ StatusOr<NraMedianResult> NraMedianTopK(
     }
     RANKTIES_OBS_RECORD("access.nra.candidates", candidates);
   }
-  RANKTIES_FLIGHT(obs::FlightEventId::kNraRun,
-                  static_cast<std::int64_t>(k), result.total_accesses);
   if (result.top.empty()) {
     return Status::Internal("NRA failed to certify after exhaustion");
   }

@@ -25,7 +25,7 @@ StatusOr<TaMedianResult> TaMedianTopK(const std::vector<BucketOrder>& inputs,
   TaMedianResult result;
   if (k == 0) return result;
 
-  obs::TraceSpan span("access.ta_median");
+  obs::FlightSpan span(obs::FlightEventId::kTaRun);
   RANKTIES_OBS_COUNT("access.ta.runs", 1);
 
   std::vector<BucketOrderSource> sources;
@@ -104,7 +104,8 @@ StatusOr<TaMedianResult> TaMedianTopK(const std::vector<BucketOrder>& inputs,
   // Access-cost accounting (docs/OBSERVABILITY.md): the counters mirror
   // the result fields so instrumented runs expose Section 6's cost measure
   // without threading the result through the caller.
-  span.SetItems(result.sorted_accesses + result.random_accesses);
+  span.SetArgs(static_cast<std::int64_t>(k), result.sorted_accesses,
+               result.random_accesses);
   if (obs::Enabled()) {
     RANKTIES_OBS_COUNT("access.ta.sorted_accesses", result.sorted_accesses);
     RANKTIES_OBS_COUNT("access.ta.random_accesses", result.random_accesses);
@@ -112,9 +113,6 @@ StatusOr<TaMedianResult> TaMedianTopK(const std::vector<BucketOrder>& inputs,
     for (std::size_t e = 0; e < n; ++e) candidates += scored[e] ? 1 : 0;
     RANKTIES_OBS_RECORD("access.ta.candidates", candidates);
   }
-  RANKTIES_FLIGHT(obs::FlightEventId::kTaRun,
-                  static_cast<std::int64_t>(k), result.sorted_accesses,
-                  result.random_accesses);
 
   // Drain the heap, best last -> reverse.
   std::vector<Entry> entries;

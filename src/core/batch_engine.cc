@@ -111,8 +111,7 @@ std::vector<std::vector<double>> DistanceMatrix(
   if (m < 2) return matrix;
 
   const std::int64_t pairs = CheckedChoose2(CheckedInt64(m));
-  obs::TraceSpan span("batch.distance_matrix");
-  span.SetItems(pairs);
+  obs::FlightSpan span(obs::FlightEventId::kBatchMatrix);
   RANKTIES_OBS_COUNT("batch.metric_evals", pairs);
 
   const std::vector<PreparedRanking> prepared = PrepareAll(lists);
@@ -130,9 +129,8 @@ std::vector<std::vector<double>> DistanceMatrix(
   }
   const std::size_t tiles = tile_offset[rows];
   RANKTIES_OBS_COUNT("batch.tiles", static_cast<std::int64_t>(tiles));
-  RANKTIES_FLIGHT(obs::FlightEventId::kBatchMatrix,
-                  static_cast<std::int64_t>(m), pairs,
-                  static_cast<std::int64_t>(tiles));
+  span.SetArgs(static_cast<std::int64_t>(m), pairs,
+               static_cast<std::int64_t>(tiles));
 
   ParallelFor(0, tiles, 1, [&](std::size_t lo, std::size_t hi) {
     obs::ScopedHistogramTimer shard_timer(ShardTimeHistogram());
@@ -181,8 +179,9 @@ std::vector<std::vector<double>> DistanceMatrixUnprepared(
     offset[i + 1] = offset[i] + (m - 1 - i);
   }
   const std::size_t pairs = offset[m];
-  obs::TraceSpan span("batch.distance_matrix_unprepared");
-  span.SetItems(static_cast<std::int64_t>(pairs));
+  obs::FlightSpan span(obs::FlightEventId::kBatchMatrixUnprepared);
+  span.SetArgs(static_cast<std::int64_t>(m),
+               static_cast<std::int64_t>(pairs));
   RANKTIES_OBS_COUNT("batch.metric_evals",
                      static_cast<std::int64_t>(pairs));
   ParallelFor(0, pairs, AutoGrain(pairs), [&](std::size_t lo, std::size_t hi) {
@@ -209,12 +208,10 @@ std::vector<double> DistancesToAll(MetricKind kind,
                                    const std::vector<BucketOrder>& lists) {
   std::vector<double> distances(lists.size(), 0.0);
   if (lists.empty()) return distances;
-  obs::TraceSpan span("batch.distances_to_all");
-  span.SetItems(static_cast<std::int64_t>(lists.size()));
+  obs::FlightSpan span(obs::FlightEventId::kBatchDistancesToAll);
+  span.SetArgs(static_cast<std::int64_t>(lists.size()));
   RANKTIES_OBS_COUNT("batch.metric_evals",
                      static_cast<std::int64_t>(lists.size()));
-  RANKTIES_FLIGHT(obs::FlightEventId::kBatchDistancesToAll,
-                  static_cast<std::int64_t>(lists.size()));
   const PreparedRanking prepared_candidate(candidate);
   const std::vector<PreparedRanking> prepared = PrepareAll(lists);
   ParallelFor(0, lists.size(), AutoGrain(lists.size()),
@@ -251,12 +248,9 @@ StatusOr<BestCandidateResult> BestOfCandidates(
   // Flat candidate x list grid so parallelism scales with c*l even when one
   // side is small (one candidate, many lists — or the reverse).
   std::vector<double> grid(c * l, 0.0);
-  obs::TraceSpan span("batch.best_of_candidates");
-  span.SetItems(static_cast<std::int64_t>(c * l));
+  obs::FlightSpan span(obs::FlightEventId::kBatchBestOf);
+  span.SetArgs(static_cast<std::int64_t>(c), static_cast<std::int64_t>(l));
   RANKTIES_OBS_COUNT("batch.metric_evals", static_cast<std::int64_t>(c * l));
-  RANKTIES_FLIGHT(obs::FlightEventId::kBatchBestOf,
-                  static_cast<std::int64_t>(c),
-                  static_cast<std::int64_t>(l));
   const std::vector<PreparedRanking> prepared_candidates =
       PrepareAll(candidates);
   const std::vector<PreparedRanking> prepared_lists = PrepareAll(lists);

@@ -20,9 +20,9 @@ namespace rankties {
 /// PreparedRankings (core/prepared.h) — O(m*n) total — and then runs the
 /// zero-allocation prepared kernels with one reusable PairScratch per pool
 /// thread, instead of paying the legacy per-pair hash-map/sort/Fenwick heap
-/// traffic O(m^2) times. FHaus has no prepared form (its Theorem 5
-/// refinement construction is inherently allocating) and falls back to the
-/// legacy kernel per pair.
+/// traffic O(m^2) times. All four metrics run prepared, FHaus included: its
+/// prepared kernel walks joint bucket runs instead of building the Theorem
+/// 5 refinements.
 ///
 /// Determinism guarantee: every function here returns results bit-identical
 /// to the corresponding serial ComputeMetric loop, for every thread count.
@@ -72,9 +72,9 @@ StatusOr<BestCandidateResult> BestOfCandidates(
     MetricKind kind, const std::vector<BucketOrder>& candidates,
     const std::vector<BucketOrder>& lists);
 
-/// A live all-pairs distance matrix under continuous mutation (ROADMAP
-/// item 4). Where DistanceMatrix answers one-shot batch queries, this
-/// engine keeps the m x m matrix current while individual rankings mutate:
+/// A live all-pairs distance matrix under continuous mutation. Where
+/// DistanceMatrix answers one-shot batch queries, this engine keeps the
+/// m x m matrix current while individual rankings mutate:
 /// a single-item edit to list i re-evaluates only row/column i — and for
 /// the pair-count metrics (Kprof, KHaus) not even that: the engine stores
 /// the PairCounts of every pair and applies O(affected-range) count deltas

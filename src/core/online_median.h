@@ -14,7 +14,7 @@ namespace rankties {
 /// Incremental median-rank aggregation: voters arrive one at a time (a
 /// meta-search engine answering as upstream engines respond; a poll
 /// updating as ballots arrive) and the aggregate is queryable at any
-/// point. Voters can also *change their mind* (ROADMAP item 4): a live
+/// point. Voters can also *change their mind*: a live
 /// corpus replaces or withdraws a ballot and the aggregate follows without
 /// a batch recompute. Per element the doubled positions of the current
 /// voters are kept in a two-multiset median structure (`low` = the

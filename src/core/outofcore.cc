@@ -59,8 +59,8 @@ StatusOr<std::vector<std::int64_t>> StreamingMedianRankScoresQuad(
   if (n == 0 || m == 0) {
     return Status::InvalidArgument("empty corpus");
   }
-  obs::TraceSpan span("outofcore.median_scores");
-  span.SetItems(static_cast<std::int64_t>(m) * static_cast<std::int64_t>(n));
+  obs::FlightSpan span(obs::FlightEventId::kOutOfCoreMedianScores);
+  span.SetArgs(static_cast<std::int64_t>(m), static_cast<std::int64_t>(n));
 
   // Element-block size: the accumulation buffer holds one m-entry rank
   // column per active element, so a block of E elements costs E*m*8 bytes.
@@ -119,9 +119,10 @@ StatusOr<std::vector<std::vector<double>>> OutOfCoreDistanceMatrix(
   const std::size_t m = static_cast<std::size_t>(reader.num_lists());
   std::vector<std::vector<double>> matrix(m, std::vector<double>(m, 0.0));
   if (m < 2) return matrix;
-  obs::TraceSpan span("outofcore.distance_matrix");
-  span.SetItems(static_cast<std::int64_t>(m) *
-                static_cast<std::int64_t>(m - 1) / 2);
+  obs::FlightSpan span(obs::FlightEventId::kOutOfCoreMatrix);
+  span.SetArgs(static_cast<std::int64_t>(m),
+               static_cast<std::int64_t>(m) *
+                   static_cast<std::int64_t>(m - 1) / 2);
 
   const std::size_t chunks = reader.num_chunks();
   std::vector<BucketOrder> lists_a;

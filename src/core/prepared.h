@@ -85,7 +85,7 @@ class PreparedRanking {
     return twice_pos_;
   }
 
-  /// --- Delta operations (ROADMAP item 4) -------------------------------
+  /// --- Delta operations (incremental engines) --------------------------
   ///
   /// Each edit re-freezes only the affected range of the flat arrays and
   /// leaves the result indistinguishable from `PreparedRanking(edited

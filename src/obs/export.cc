@@ -7,7 +7,6 @@
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
-#include "obs/trace.h"
 
 namespace rankties {
 namespace obs {
@@ -64,6 +63,17 @@ void AppendInt(std::string& out, std::int64_t value) {
 void AppendNum(std::string& out, double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.9g", value);
+  out += buffer;
+}
+
+/// Non-negative `ns` as exact decimal microseconds ("12.345"), the
+/// trace-event unit; a double would round steady-clock readings of a
+/// long-running host.
+void AppendMicros(std::string& out, std::int64_t ns) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%lld.%03lld",
+                static_cast<long long>(ns / 1000),
+                static_cast<long long>(ns % 1000));
   out += buffer;
 }
 
@@ -190,42 +200,6 @@ std::string MetricsJsonObject() {
   return out;
 }
 
-std::string TraceJsonDocument() {
-  const TraceRecorder& recorder = TraceRecorder::Global();
-  const std::vector<SpanRecord> spans = recorder.Snapshot();
-  std::string out;
-  out.reserve(128 + spans.size() * 96);
-  out += "{\"schema\": \"rankties-trace-v1\", \"clock\": \"steady_ns\", ";
-  out += "\"dropped_spans\": ";
-  AppendInt(out, recorder.dropped());
-  out += ", \"spans\": [";
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    const SpanRecord& span = spans[i];
-    if (i) out += ", ";
-    out += "\n  {\"id\": ";
-    AppendInt(out, static_cast<std::int64_t>(span.id));
-    out += ", \"parent\": ";
-    AppendInt(out, static_cast<std::int64_t>(span.parent));
-    out += ", \"name\": \"";
-    AppendEscaped(out, span.name);
-    out += "\", \"thread\": ";
-    AppendInt(out, static_cast<std::int64_t>(span.thread));
-    out += ", \"start_ns\": ";
-    AppendInt(out, span.start_ns);
-    out += ", \"dur_ns\": ";
-    AppendInt(out, span.duration_ns);
-    if (span.items >= 0) {
-      out += ", \"items\": ";
-      AppendInt(out, span.items);
-    }
-    out += "}";
-  }
-  out += "],\n \"metrics\": ";
-  AppendMetricsObject(out);
-  out += "}\n";
-  return out;
-}
-
 std::string OpenMetricsText() {
   std::string out;
   out += "# TYPE rankties_counter counter\n";
@@ -271,92 +245,54 @@ std::string OpenMetricsText() {
                      cost.max_per_query);
     }
   }
-  out += "# TYPE rankties_slo_ok gauge\n";
-  out += "# HELP rankties_slo_ok 1 when the declared SLO holds, 0 when "
-         "violated.\n";
-  out += "# TYPE rankties_slo_observed gauge\n";
-  out += "# TYPE rankties_slo_limit gauge\n";
-  for (const SloCheckResult& result : SloRegistry::Global().Evaluate()) {
-    const std::vector<std::pair<const char*, std::string>> labels = {
-        {"unit", result.unit}, {"check", result.check}};
-    AppendOmSample(out, "rankties_slo_ok", labels, result.ok ? 1 : 0);
-    AppendOmSample(out, "rankties_slo_observed", labels,
-                   static_cast<std::int64_t>(result.observed));
-    AppendOmSample(out, "rankties_slo_limit", labels,
-                   static_cast<std::int64_t>(result.limit));
-  }
   out += "# EOF\n";
   return out;
 }
 
 std::string PerfettoJsonDocument() {
-  const std::vector<SpanRecord> spans = TraceRecorder::Global().Snapshot();
+  const FlightRecorder& recorder = FlightRecorder::Global();
+  const std::vector<FlightEvent> events = recorder.Drain();
   std::string out;
-  out.reserve(192 + spans.size() * 128);
-  out += "{\"displayTimeUnit\": \"ns\", \"traceEvents\": [\n";
+  out.reserve(256 + events.size() * 160);
+  out += "{\"displayTimeUnit\": \"ns\", \"otherData\": {\"dropped\": ";
+  AppendInt(out, recorder.dropped());
+  out += ", \"overwritten\": ";
+  AppendInt(out, recorder.overwritten());
+  out += "}, \"traceEvents\": [\n";
   out += "  {\"ph\": \"M\", \"pid\": 1, \"name\": \"process_name\", "
          "\"args\": {\"name\": \"rankties\"}}";
-  for (const SpanRecord& span : spans) {
-    out += ",\n  {\"ph\": \"X\", \"cat\": \"rankties\", \"pid\": 1, ";
-    out += "\"tid\": ";
-    AppendInt(out, static_cast<std::int64_t>(span.thread));
+  for (const FlightEvent& event : events) {
+    const auto id = static_cast<FlightEventId>(event.event);
+    // Spans are complete ("X") events; point events are thread-scoped
+    // instants ("i").
+    out += event.is_span() ? ",\n  {\"ph\": \"X\""
+                           : ",\n  {\"ph\": \"i\", \"s\": \"t\"";
+    out += ", \"cat\": \"rankties\", \"pid\": 1, \"tid\": ";
+    AppendInt(out, static_cast<std::int64_t>(event.thread));
     out += ", \"name\": \"";
-    AppendEscaped(out, span.name);
-    // Trace-event timestamps are microseconds; doubles keep sub-us
-    // resolution (53 bits cover any realistic steady-clock reading).
+    AppendEscaped(out, FlightEventName(id));
     out += "\", \"ts\": ";
-    AppendNum(out, static_cast<double>(span.start_ns) * 1e-3);
-    out += ", \"dur\": ";
-    AppendNum(out, static_cast<double>(span.duration_ns) * 1e-3);
-    out += ", \"args\": {\"id\": ";
-    AppendInt(out, static_cast<std::int64_t>(span.id));
-    out += ", \"parent\": ";
-    AppendInt(out, static_cast<std::int64_t>(span.parent));
-    if (span.items >= 0) {
-      out += ", \"items\": ";
-      AppendInt(out, span.items);
+    AppendMicros(out, event.ts_ns);
+    if (event.is_span()) {
+      out += ", \"dur\": ";
+      AppendMicros(out, event.dur_ns);
+    }
+    out += ", \"args\": {";
+    bool first = true;
+    for (std::size_t i = 0; i < event.args.size(); ++i) {
+      const char* arg = FlightEventArgName(id, i);
+      if (arg == nullptr) continue;
+      if (!first) out += ", ";
+      first = false;
+      out += "\"";
+      out += arg;
+      out += "\": ";
+      AppendInt(out, event.args[i]);
     }
     out += "}}";
   }
   out += "\n]}\n";
   return out;
-}
-
-std::string FlightJsonDocument() {
-  const FlightRecorder& recorder = FlightRecorder::Global();
-  const std::vector<FlightEvent> events = recorder.Drain();
-  std::string out;
-  out.reserve(160 + events.size() * 80);
-  out += "{\"schema\": \"rankties-flight-v1\", \"clock\": \"steady_ns\", ";
-  out += "\"dropped\": ";
-  AppendInt(out, recorder.dropped());
-  out += ", \"overwritten\": ";
-  AppendInt(out, recorder.overwritten());
-  out += ", \"events\": [";
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const FlightEvent& event = events[i];
-    if (i) out += ",";
-    out += "\n  {\"ts_ns\": ";
-    AppendInt(out, event.ts_ns);
-    out += ", \"thread\": ";
-    AppendInt(out, static_cast<std::int64_t>(event.thread));
-    out += ", \"event\": \"";
-    AppendEscaped(out,
-                  FlightEventName(static_cast<FlightEventId>(event.event)));
-    out += "\", \"args\": [";
-    AppendInt(out, event.args[0]);
-    out += ", ";
-    AppendInt(out, event.args[1]);
-    out += ", ";
-    AppendInt(out, event.args[2]);
-    out += "]}";
-  }
-  out += "\n]}\n";
-  return out;
-}
-
-bool WriteTraceJson(const std::string& path) {
-  return WriteTextFile(path, TraceJsonDocument());
 }
 
 bool WriteMetricsJson(const std::string& path) {
@@ -369,10 +305,6 @@ bool WriteOpenMetrics(const std::string& path) {
 
 bool WritePerfettoJson(const std::string& path) {
   return WriteTextFile(path, PerfettoJsonDocument());
-}
-
-bool WriteFlightJson(const std::string& path) {
-  return WriteTextFile(path, FlightJsonDocument());
 }
 
 }  // namespace obs

@@ -2,43 +2,25 @@
 #define RANKTIES_OBS_EXPORT_H_
 
 /// \file
-/// Export formats for the obs subsystem. Four documents, one source of
-/// truth (the Registry / recorders), no external dependencies:
+/// Export formats for the obs subsystem, no external dependencies:
 ///
-///  * `rankties-trace-v1` JSON — spans + a metrics snapshot, the native
-///    format (shape below).
 ///  * Bare metrics JSON — the `{"counters": ..., "histograms": ...}`
-///    object on its own, embedded by the bench harnesses and written by
-///    `rank_tool --metrics-out`.
-///  * OpenMetrics text exposition — counters, histograms, query-unit
-///    stats and SLO check results for Prometheus-family scrapers. Metric
-///    names here are fixed families (`rankties_counter_total`, ...) with
-///    the rankties-side name carried in a `name`/`unit` label, so
-///    arbitrary registry names (dots, quotes, UTF-8) survive via label
-///    escaping instead of being mangled into the metric identifier.
-///    Terminated by `# EOF` per the OpenMetrics spec;
-///    tools/check_openmetrics.py validates the output in CI.
-///  * Chrome trace-event / Perfetto JSON — the span recorder as "X"
-///    (complete) events with microsecond timestamps; loads directly in
-///    ui.perfetto.dev and chrome://tracing.
-///
-/// Plus `rankties-flight-v1` JSON for the flight recorder (timestamped
-/// structured events, newest-last).
-///
-/// rankties-trace-v1 shape:
-///   {"schema": "rankties-trace-v1",
-///    "clock": "steady_ns",
-///    "dropped_spans": 0,
-///    "spans": [{"id": 1, "parent": 0, "name": "...", "thread": 0,
-///               "start_ns": ..., "dur_ns": ..., "items": ...}, ...],
-///    "metrics": {"counters": {"name": value, ...},
-///                "histograms": {"name": {"count": c, "sum": s,
-///                                        "mean": m,
-///                                        "buckets": [[upper, count],
-///                                                    ...]}, ...}}}
-/// `items` is omitted when unset; histogram `buckets` lists only non-empty
-/// buckets as [inclusive upper edge, count] pairs. Consumers must ignore
-/// unknown keys (the v1 contract), so fields can be added without a bump.
+///    object, embedded by the bench harnesses and written by
+///    `rank_tool --metrics-out`. Histogram `buckets` lists only non-empty
+///    buckets as [inclusive upper edge, count] pairs.
+///  * OpenMetrics text exposition — counters, histograms and query-unit
+///    stats for Prometheus-family scrapers. Metric names here are fixed
+///    families (`rankties_counter_total`, ...) with the rankties-side name
+///    carried in a `name`/`unit` label, so arbitrary registry names (dots,
+///    quotes, UTF-8) survive via label escaping instead of being mangled
+///    into the metric identifier. Terminated by `# EOF` per the
+///    OpenMetrics spec; tools/check_openmetrics.py validates the output in
+///    CI.
+///  * Chrome trace-event / Perfetto JSON — the flight recorder's drained
+///    rings: spans as "X" (complete) events, point events as "i" (instant)
+///    events, microsecond timestamps, and the recorder's dropped and
+///    overwritten counts under "otherData". Loads directly in
+///    ui.perfetto.dev and chrome://tracing; `rank_tool --trace` writes it.
 ///
 /// With RANKTIES_OBS_DISABLED every export stays a valid (empty) document,
 /// keeping the rank_tool flags functional in every build.
@@ -52,28 +34,19 @@ namespace obs {
 /// Registry contents.
 std::string MetricsJsonObject();
 
-/// The full rankties-trace-v1 document for the recorder + Registry.
-std::string TraceJsonDocument();
-
-/// OpenMetrics text exposition of counters, histograms, query units and
-/// SLO checks (see file comment for the naming scheme).
+/// OpenMetrics text exposition of counters, histograms and query units
+/// (see file comment for the naming scheme).
 std::string OpenMetricsText();
 
-/// Chrome trace-event JSON of the span recorder ("X" complete events,
-/// microsecond timestamps); loads in Perfetto and chrome://tracing.
+/// Chrome trace-event JSON of FlightRecorder::Global().Drain().
 std::string PerfettoJsonDocument();
-
-/// rankties-flight-v1 JSON of the flight recorder's drained events.
-std::string FlightJsonDocument();
 
 /// Write helpers: each renders its document and writes it to `path`,
 /// returning false on I/O failure (callers must propagate — rank_tool
 /// exits nonzero on a failed write).
-bool WriteTraceJson(const std::string& path);
 bool WriteMetricsJson(const std::string& path);
 bool WriteOpenMetrics(const std::string& path);
 bool WritePerfettoJson(const std::string& path);
-bool WriteFlightJson(const std::string& path);
 
 }  // namespace obs
 }  // namespace rankties

@@ -2,50 +2,58 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 
 #include "util/contracts.h"
 
 namespace rankties {
 namespace obs {
 
+namespace {
+
+struct EventInfo {
+  const char* name;
+  std::array<const char*, 3> args;
+};
+
+// Indexed by FlightEventId; names follow the lowercase.dotted metric
+// convention, argument names label the Perfetto "args" object.
+constexpr EventInfo kEvents[] = {
+    {"none", {}},
+    {"threadpool.parallel_for", {"items", "grain", "helpers"}},
+    {"batch.distance_matrix", {"lists", "pairs", "tiles"}},
+    {"batch.distance_matrix_unprepared", {"lists", "pairs"}},
+    {"batch.distances_to_all", {"lists"}},
+    {"batch.best_of_candidates", {"candidates", "lists"}},
+    {"incremental.move", {"list", "element", "pairs"}},
+    {"incremental.replace_list", {"list", "pairs"}},
+    {"online_median.add_voter", {"voter", "n"}},
+    {"online_median.update_voter", {"voter", "touched"}},
+    {"online_median.remove_voter", {"voter", "voters_left"}},
+    {"access.ta.run", {"k", "sorted", "random"}},
+    {"access.nra.run", {"k", "sorted"}},
+    {"access.medrank.run", {"k", "sorted", "depth"}},
+    {"access.medrank_stream.next_winner", {"winner", "sorted", "total"}},
+    {"store.read_chunk", {"chunk", "lists"}},
+    {"outofcore.median_scores", {"lists", "n"}},
+    {"outofcore.distance_matrix", {"lists", "pairs"}},
+    {"slo.query_unit", {"unit"}},
+};
+static_assert(std::size(kEvents) ==
+                  static_cast<std::size_t>(FlightEventId::kCount),
+              "one kEvents row per FlightEventId");
+
+}  // namespace
+
 const char* FlightEventName(FlightEventId id) {
-  switch (id) {
-    case FlightEventId::kNone:
-      return "none";
-    case FlightEventId::kParallelFor:
-      return "threadpool.parallel_for";
-    case FlightEventId::kBatchMatrix:
-      return "batch.distance_matrix";
-    case FlightEventId::kBatchDistancesToAll:
-      return "batch.distances_to_all";
-    case FlightEventId::kBatchBestOf:
-      return "batch.best_of_candidates";
-    case FlightEventId::kIncrementalMove:
-      return "incremental.move";
-    case FlightEventId::kIncrementalReplace:
-      return "incremental.replace_list";
-    case FlightEventId::kOnlineMedianAdd:
-      return "online_median.add_voter";
-    case FlightEventId::kOnlineMedianUpdate:
-      return "online_median.update_voter";
-    case FlightEventId::kOnlineMedianRemove:
-      return "online_median.remove_voter";
-    case FlightEventId::kTaRun:
-      return "access.ta.run";
-    case FlightEventId::kNraRun:
-      return "access.nra.run";
-    case FlightEventId::kMedrankRun:
-      return "access.medrank.run";
-    case FlightEventId::kMedrankStreamWinner:
-      return "access.medrank_stream.winner";
-    case FlightEventId::kQueryUnitBegin:
-      return "slo.query_unit_begin";
-    case FlightEventId::kQueryUnitEnd:
-      return "slo.query_unit_end";
-    case FlightEventId::kCount:
-      break;
-  }
-  return "unknown";
+  const auto index = static_cast<std::size_t>(id);
+  return index < std::size(kEvents) ? kEvents[index].name : "unknown";
+}
+
+const char* FlightEventArgName(FlightEventId id, std::size_t i) {
+  const auto index = static_cast<std::size_t>(id);
+  return index < std::size(kEvents) && i < 3 ? kEvents[index].args[i]
+                                             : nullptr;
 }
 
 #ifndef RANKTIES_OBS_DISABLED
@@ -59,12 +67,6 @@ void FlightFailureHook() {
 }
 
 }  // namespace
-
-FlightRecorder& FlightRecorder::Global() {
-  // Leaked on purpose: see the class comment.
-  static FlightRecorder* const recorder = new FlightRecorder();
-  return *recorder;
-}
 
 void FlightRecorder::SetEnabled(bool enabled) {
   if (enabled) {
@@ -93,6 +95,19 @@ FlightRecorder::ThreadRing* FlightRecorder::RingForThisThread() {
 void FlightRecorder::Record(FlightEventId id, std::int64_t a0,
                             std::int64_t a1, std::int64_t a2) {
   if (!enabled()) return;
+  Write(id, MonotonicNanos(), -1, a0, a1, a2);
+}
+
+void FlightRecorder::RecordSpan(FlightEventId id, std::int64_t start_ns,
+                                const std::array<std::int64_t, 3>& args) {
+  if (!enabled()) return;
+  Write(id, start_ns, MonotonicNanos() - start_ns, args[0], args[1],
+        args[2]);
+}
+
+void FlightRecorder::Write(FlightEventId id, std::int64_t ts_ns,
+                           std::int64_t dur_ns, std::int64_t a0,
+                           std::int64_t a1, std::int64_t a2) {
   ThreadRing* ring = RingForThisThread();
   if (ring == nullptr) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -100,7 +115,8 @@ void FlightRecorder::Record(FlightEventId id, std::int64_t a0,
   }
   const std::uint64_t head = ring->head.load(std::memory_order_relaxed);
   Slot& slot = ring->slots[head % kEventsPerThread];
-  slot.ts_ns.store(MonotonicNanos(), std::memory_order_relaxed);
+  slot.ts_ns.store(ts_ns, std::memory_order_relaxed);
+  slot.dur_ns.store(dur_ns, std::memory_order_relaxed);
   slot.event.store(static_cast<std::uint32_t>(id),
                    std::memory_order_relaxed);
   slot.a0.store(a0, std::memory_order_relaxed);
@@ -122,6 +138,7 @@ std::vector<FlightEvent> FlightRecorder::Drain() const {
       const Slot& slot = ring->slots[i % kEventsPerThread];
       FlightEvent event;
       event.ts_ns = slot.ts_ns.load(std::memory_order_relaxed);
+      event.dur_ns = slot.dur_ns.load(std::memory_order_relaxed);
       event.event = slot.event.load(std::memory_order_relaxed);
       event.thread = ring->thread_index;
       event.args = {slot.a0.load(std::memory_order_relaxed),
@@ -130,9 +147,12 @@ std::vector<FlightEvent> FlightRecorder::Drain() const {
       events.push_back(event);
     }
   }
+  // By start time; on a tie the longer span first, so an enclosing span
+  // precedes what it contains.
   std::stable_sort(events.begin(), events.end(),
                    [](const FlightEvent& a, const FlightEvent& b) {
-                     return a.ts_ns < b.ts_ns;
+                     return a.ts_ns != b.ts_ns ? a.ts_ns < b.ts_ns
+                                               : a.dur_ns > b.dur_ns;
                    });
   return events;
 }
@@ -168,9 +188,10 @@ void FlightRecorder::DumpToStderr(std::size_t max_events) const {
                static_cast<long long>(overwritten()));
   for (std::size_t i = events.size() - shown; i < events.size(); ++i) {
     const FlightEvent& e = events[i];
-    std::fprintf(stderr, "  [%lld ns] t%u %s (%lld, %lld, %lld)\n",
+    std::fprintf(stderr, "  [%lld ns] t%u %s dur=%lld (%lld, %lld, %lld)\n",
                  static_cast<long long>(e.ts_ns), e.thread,
                  FlightEventName(static_cast<FlightEventId>(e.event)),
+                 static_cast<long long>(e.dur_ns),
                  static_cast<long long>(e.args[0]),
                  static_cast<long long>(e.args[1]),
                  static_cast<long long>(e.args[2]));

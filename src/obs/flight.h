@@ -2,31 +2,35 @@
 #define RANKTIES_OBS_FLIGHT_H_
 
 /// \file
-/// Flight recorder: a lock-free per-thread ring buffer of fixed-size
-/// structured events — the observability layer's black box. Where trace
-/// spans are opt-in and bounded by an explicit Start/Stop window, the
-/// flight recorder is designed to run continuously: each thread owns a
-/// fixed ring of the last kEventsPerThread events (overwrite-oldest, so
-/// memory is bounded forever) and recording one event is a handful of
-/// relaxed atomic stores — no locks, no allocation, no clock seam beyond
-/// one MonotonicNanos() read.
+/// Flight recorder: the observability layer's one event path. Each thread
+/// owns a lock-free ring of fixed-size structured events (overwrite-oldest,
+/// so memory is bounded forever), and recording one event is a handful of
+/// relaxed atomic stores — no locks, no allocation, no strings.
 ///
-///   RANKTIES_FLIGHT(FlightEventId::kBatchMatrix, m, pairs, tiles);
+/// Events come in two forms that share the rings:
 ///
-/// The payload is deliberately spartan: a timestamp, a small event id from
-/// the closed enum below, and three int64 arguments whose meaning is
-/// documented per id. No strings on the hot path — names are resolved at
-/// dump time through FlightEventName().
+///   RANKTIES_FLIGHT(FlightEventId::kOnlineMedianAdd, voter, n);  // point
 ///
-/// Draining happens on demand (Drain() merges every thread's ring into
-/// one timestamp-sorted vector) or on failure: enabling the recorder
-/// installs a contracts-layer failure hook
-/// (contracts_internal::SetFailureHook) that prints the most recent
-/// events to stderr before a violated RANKTIES_DCHECK aborts, and the
-/// fuzz harness dumps the same post-mortem when a differential check
-/// fails. Concurrent writers never block a drain; an event overwritten
-/// mid-read can be torn (mixed fields), which post-mortem consumers must
-/// tolerate — quiesce writers first when exact replay matters.
+///   obs::FlightSpan span(FlightEventId::kBatchMatrix);           // span
+///   span.SetArgs(m, pairs, tiles);
+///
+/// A FlightSpan reads the clock only if the recorder is on when it opens;
+/// on close it writes one complete event (start, duration, three args). A
+/// span opened while the recorder is off records nothing, even if the
+/// recorder turns on before it closes.
+///
+/// Payloads are spartan: a timestamp, an optional duration, an id from the
+/// closed enum below, and three int64 arguments. Names and argument names
+/// are resolved at export time (FlightEventName / FlightEventArgName).
+///
+/// Draining happens on demand (Drain() merges every thread's ring into one
+/// timestamp-sorted vector, which PerfettoJsonDocument renders) or on
+/// failure: enabling the recorder installs a contracts-layer failure hook
+/// (contracts_internal::SetFailureHook) that prints the most recent events
+/// to stderr before a violated RANKTIES_DCHECK aborts. Concurrent writers
+/// never block a drain; an event overwritten mid-read can be torn (mixed
+/// fields), which post-mortem consumers must tolerate — quiesce writers
+/// first when exact replay matters.
 ///
 /// With RANKTIES_OBS_DISABLED everything collapses to empty inline
 /// functions and the macro evaluates its arguments into dead locals.
@@ -42,53 +46,66 @@
 namespace rankties {
 namespace obs {
 
-/// Closed event-id space. Argument meaning per id is noted inline;
-/// unused arguments are recorded as 0.
+/// Closed event-id space. Names and argument names per id live in one
+/// table in flight.cc; unused arguments are recorded as 0.
 enum class FlightEventId : std::uint32_t {
   kNone = 0,
-  kParallelFor,          ///< a0 items, a1 grain, a2 helper lanes
-  kBatchMatrix,          ///< a0 lists, a1 pairs, a2 tiles
-  kBatchDistancesToAll,  ///< a0 lists
-  kBatchBestOf,          ///< a0 candidates, a1 lists
-  kIncrementalMove,      ///< a0 list, a1 element, a2 pairs reevaluated
-  kIncrementalReplace,   ///< a0 list, a1 pairs reevaluated
-  kOnlineMedianAdd,      ///< a0 voter index, a1 n
-  kOnlineMedianUpdate,   ///< a0 voter index, a1 elements touched
-  kOnlineMedianRemove,   ///< a0 voter index, a1 voters left
-  kTaRun,                ///< a0 k, a1 sorted accesses, a2 random accesses
-  kNraRun,               ///< a0 k, a1 sorted accesses
-  kMedrankRun,           ///< a0 k, a1 sorted accesses, a2 depth
-  kMedrankStreamWinner,  ///< a0 winner, a1 total accesses so far
-  kQueryUnitBegin,       ///< a0 unit ordinal
-  kQueryUnitEnd,         ///< a0 unit ordinal, a1 active ns this scope
-  kCount,                ///< sentinel, not a real event
+  kParallelFor,             ///< span: items, grain, helpers
+  kBatchMatrix,             ///< span: lists, pairs, tiles
+  kBatchMatrixUnprepared,   ///< span: lists, pairs
+  kBatchDistancesToAll,     ///< span: lists
+  kBatchBestOf,             ///< span: candidates, lists
+  kIncrementalMove,         ///< point: list, element, pairs
+  kIncrementalReplace,      ///< point: list, pairs
+  kOnlineMedianAdd,         ///< point: voter, n
+  kOnlineMedianUpdate,      ///< point: voter, touched
+  kOnlineMedianRemove,      ///< point: voter, voters_left
+  kTaRun,                   ///< span: k, sorted, random
+  kNraRun,                  ///< span: k, sorted
+  kMedrankRun,              ///< span: k, sorted, depth
+  kMedrankStreamNextWinner, ///< span: winner (-1 = none), sorted, total
+  kStoreReadChunk,          ///< span: chunk, lists
+  kOutOfCoreMedianScores,   ///< span: lists, n
+  kOutOfCoreMatrix,         ///< span: lists, pairs
+  kQueryUnit,               ///< span: unit ordinal
+  kCount,                   ///< sentinel, not a real event
 };
 
-/// Static name for `id` ("parallel_for", "ta.run", ...); "unknown" for
+/// Static name for `id` ("threadpool.parallel_for", ...); "unknown" for
 /// out-of-range values (e.g. a torn event).
 const char* FlightEventName(FlightEventId id);
 
+/// Static name of argument `i` (0..2) of `id`, or nullptr when unused.
+const char* FlightEventArgName(FlightEventId id, std::size_t i);
+
 /// One drained event.
 struct FlightEvent {
-  std::int64_t ts_ns = 0;  ///< MonotonicNanos() at record time
-  std::uint32_t event = 0;  ///< FlightEventId
+  std::int64_t ts_ns = 0;    ///< MonotonicNanos(): record or span start
+  std::int64_t dur_ns = -1;  ///< span duration; -1 marks a point event
+  std::uint32_t event = 0;   ///< FlightEventId
   std::uint32_t thread = 0;  ///< recorder-assigned dense thread index
   std::array<std::int64_t, 3> args{};
+
+  bool is_span() const { return dur_ns >= 0; }
 };
 
 #ifndef RANKTIES_OBS_DISABLED
 
 class FlightRecorder {
  public:
-  /// Ring capacity per thread. 4096 events * 48 bytes keeps each thread
-  /// under 200 KiB no matter how long the process runs.
+  /// Ring capacity per thread: the newest 4096 events survive. 4096 slots
+  /// of 48 bytes keep each thread under 200 KiB however long it runs.
   static constexpr std::size_t kEventsPerThread = 1u << 12;
   /// Hard cap on registered rings; threads beyond it only bump dropped().
   static constexpr std::size_t kMaxThreads = 256;
 
   /// The singleton. Leaked on purpose, like the metric Registry, so
-  /// events recorded during static destruction stay safe.
-  static FlightRecorder& Global();
+  /// events recorded during static destruction stay safe. Inline so the
+  /// enabled check at an event or span site is a load, not a call.
+  static FlightRecorder& Global() {
+    static FlightRecorder* const recorder = new FlightRecorder();
+    return *recorder;
+  }
 
   /// Turns recording on or off process-wide. The first enable installs
   /// the contracts-layer failure hook that dumps the recorder to stderr
@@ -98,11 +115,15 @@ class FlightRecorder {
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Records one event on the calling thread's ring (lock-free).
+  /// Records one point event on the calling thread's ring (lock-free).
   void Record(FlightEventId id, std::int64_t a0 = 0, std::int64_t a1 = 0,
               std::int64_t a2 = 0);
+  /// Records one complete event that began at `start_ns` and ends now.
+  void RecordSpan(FlightEventId id, std::int64_t start_ns,
+                  const std::array<std::int64_t, 3>& args);
 
-  /// Every live event from every ring, merged and sorted by timestamp.
+  /// Every live event from every ring, merged and sorted by start time
+  /// (enclosing spans first on a tie).
   std::vector<FlightEvent> Drain() const RANKTIES_EXCLUDES(rings_mu_);
 
   /// Events lost because the kMaxThreads ring cap was reached.
@@ -128,6 +149,7 @@ class FlightRecorder {
   // clean under TSan). Relaxed int64 stores cost the same as plain moves.
   struct Slot {
     std::atomic<std::int64_t> ts_ns{0};
+    std::atomic<std::int64_t> dur_ns{-1};
     std::atomic<std::uint32_t> event{0};
     std::atomic<std::int64_t> a0{0};
     std::atomic<std::int64_t> a1{0};
@@ -144,6 +166,10 @@ class FlightRecorder {
   };
 
   FlightRecorder() = default;
+
+  /// Writes one slot on the calling thread's ring.
+  void Write(FlightEventId id, std::int64_t ts_ns, std::int64_t dur_ns,
+             std::int64_t a0, std::int64_t a1, std::int64_t a2);
 
   /// The calling thread's ring, registering it on first use; nullptr once
   /// kMaxThreads rings exist.
@@ -167,6 +193,32 @@ inline void FlightRecord(FlightEventId id, std::int64_t a0 = 0,
   recorder.Record(id, a0, a1, a2);
 }
 
+/// RAII span: one complete event covering [construction, destruction).
+class FlightSpan {
+ public:
+  explicit FlightSpan(FlightEventId id)
+      : id_(id), active_(FlightRecorder::Global().enabled()) {
+    if (active_) start_ns_ = MonotonicNanos();
+  }
+  ~FlightSpan() {
+    if (active_) FlightRecorder::Global().RecordSpan(id_, start_ns_, args_);
+  }
+
+  FlightSpan(const FlightSpan&) = delete;
+  FlightSpan& operator=(const FlightSpan&) = delete;
+
+  /// Sets the span's arguments (meaning per id; see FlightEventId).
+  void SetArgs(std::int64_t a0, std::int64_t a1 = 0, std::int64_t a2 = 0) {
+    args_ = {a0, a1, a2};
+  }
+
+ private:
+  FlightEventId id_;
+  bool active_;
+  std::int64_t start_ns_ = 0;
+  std::array<std::int64_t, 3> args_{};
+};
+
 #else  // RANKTIES_OBS_DISABLED
 
 class FlightRecorder {
@@ -178,6 +230,8 @@ class FlightRecorder {
   bool enabled() const { return false; }
   void Record(FlightEventId, std::int64_t = 0, std::int64_t = 0,
               std::int64_t = 0) {}
+  void RecordSpan(FlightEventId, std::int64_t,
+                  const std::array<std::int64_t, 3>&) {}
   std::vector<FlightEvent> Drain() const { return {}; }
   std::int64_t dropped() const { return 0; }
   std::int64_t overwritten() const { return 0; }
@@ -188,13 +242,21 @@ class FlightRecorder {
 inline void FlightRecord(FlightEventId, std::int64_t = 0, std::int64_t = 0,
                          std::int64_t = 0) {}
 
+class FlightSpan {
+ public:
+  explicit FlightSpan(FlightEventId) {}
+  FlightSpan(const FlightSpan&) = delete;
+  FlightSpan& operator=(const FlightSpan&) = delete;
+  void SetArgs(std::int64_t, std::int64_t = 0, std::int64_t = 0) {}
+};
+
 #endif  // RANKTIES_OBS_DISABLED
 
 }  // namespace obs
 }  // namespace rankties
 
-/// Hot-path event macro; arguments are evaluated (cheap locals) and the
-/// optimizer deletes the call entirely under RANKTIES_OBS_DISABLED.
+/// Hot-path point-event macro; arguments are evaluated (cheap locals) and
+/// the optimizer deletes the call entirely under RANKTIES_OBS_DISABLED.
 #define RANKTIES_FLIGHT(id, ...) \
   ::rankties::obs::FlightRecord((id), __VA_ARGS__)
 

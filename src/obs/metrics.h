@@ -74,7 +74,7 @@ inline std::uint32_t ShardSlot() {
   return slot;
 }
 
-/// Thread-local observer of counter increments, the seam the SLO layer's
+/// Thread-local observer of counter increments, the seam the cost-attribution
 /// query units hang off (src/obs/slo.h). When a sink is installed on a
 /// thread, every Counter::Add on that thread also reports (counter, delta)
 /// to the sink — attribution is exact for work recorded on the calling

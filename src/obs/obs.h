@@ -7,8 +7,8 @@
 ///
 ///   RANKTIES_OBS_COUNT("access.ta.sorted_accesses", n);
 ///   RANKTIES_OBS_RECORD("threadpool.queue_depth", depth);
-///   obs::TraceSpan span("batch.distance_matrix");
-///   span.SetItems(pairs);
+///   obs::FlightSpan span(obs::FlightEventId::kBatchMatrix);
+///   span.SetArgs(m, pairs, tiles);
 ///
 /// The macros cache the registry handle in a function-local static, so the
 /// name lookup happens once per call site; afterwards the cost is one
@@ -19,9 +19,7 @@
 #include "obs/export.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "obs/sampler.h"
 #include "obs/slo.h"
-#include "obs/trace.h"
 
 #ifndef RANKTIES_OBS_DISABLED
 

@@ -2,25 +2,11 @@
 
 #include <algorithm>
 
-#include "obs/flight.h"
 #include "util/contracts.h"
 #include "util/stopwatch.h"
 
 namespace rankties {
 namespace obs {
-
-std::int64_t QueryUnitSnapshot::LatencyP99UpperNs() const {
-  if (queries == 0) return 0;
-  // Smallest bucket edge with cumulative count >= 99% of queries
-  // (ceiling, so e.g. 99 of 100 is not enough when the 100th is larger).
-  const std::int64_t needed = (queries * 99 + 99) / 100;
-  std::int64_t cumulative = 0;
-  for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-    cumulative += latency_buckets[b];
-    if (cumulative >= needed) return Histogram::BucketUpperEdge(b);
-  }
-  return Histogram::BucketUpperEdge(kHistogramBuckets - 1);
-}
 
 std::int64_t QueryUnitSnapshot::CostTotal(std::string_view counter) const {
   for (const QueryUnitCounterCost& cost : costs) {
@@ -43,16 +29,6 @@ SloRegistry& SloRegistry::Global() {
   // Leaked on purpose: see the class comment.
   static SloRegistry* const registry = new SloRegistry();
   return *registry;
-}
-
-void SloRegistry::Declare(SloThreshold threshold) {
-  MutexLock lock(mu_);
-  thresholds_.push_back(std::move(threshold));
-}
-
-std::vector<SloThreshold> SloRegistry::Thresholds() const {
-  MutexLock lock(mu_);
-  return thresholds_;
 }
 
 std::vector<QueryUnitSnapshot> SloRegistry::UnitSnapshots() const {
@@ -84,49 +60,10 @@ QueryUnitSnapshot SloRegistry::UnitSnapshot(std::string_view unit) const {
   return empty;
 }
 
-std::vector<SloCheckResult> SloRegistry::Evaluate() const {
-  const std::vector<SloThreshold> thresholds = Thresholds();
-  const std::vector<QueryUnitSnapshot> units = UnitSnapshots();
-  auto find_unit = [&units](const std::string& name) {
-    return std::find_if(
-        units.begin(), units.end(),
-        [&name](const QueryUnitSnapshot& u) { return u.unit == name; });
-  };
-  std::vector<SloCheckResult> results;
-  for (const SloThreshold& threshold : thresholds) {
-    const auto it = find_unit(threshold.unit);
-    if (threshold.max_p99_latency_ns > 0) {
-      SloCheckResult result;
-      result.unit = threshold.unit;
-      result.check = "p99_latency_ns";
-      result.observed = it == units.end()
-                            ? 0.0
-                            : static_cast<double>(it->LatencyP99UpperNs());
-      result.limit = static_cast<double>(threshold.max_p99_latency_ns);
-      result.ok = result.observed <= result.limit;
-      results.push_back(std::move(result));
-    }
-    if (!threshold.counter.empty() && threshold.max_cost_per_query > 0) {
-      SloCheckResult result;
-      result.unit = threshold.unit;
-      result.check = "max_cost:" + threshold.counter;
-      result.observed =
-          it == units.end()
-              ? 0.0
-              : static_cast<double>(it->CostMaxPerQuery(threshold.counter));
-      result.limit = static_cast<double>(threshold.max_cost_per_query);
-      result.ok = result.observed <= result.limit;
-      results.push_back(std::move(result));
-    }
-  }
-  return results;
-}
-
 void SloRegistry::ResetAll() {
   MutexLock lock(mu_);
   units_.clear();
-  thresholds_.clear();
-  // Ordinals survive a reset so flight events keep a stable mapping.
+  // Ordinals survive a reset so flight spans keep a stable mapping.
 }
 
 std::uint32_t SloRegistry::OrdinalFor(std::string_view unit) {
@@ -161,12 +98,10 @@ void SloRegistry::Report(
 }
 
 QueryUnitScope::QueryUnitScope(std::string_view unit)
-    : unit_(unit),
-      ordinal_(SloRegistry::Global().OrdinalFor(unit)),
-      start_ns_(MonotonicNanos()),
-      previous_(internal::t_counter_sink) {
+    : unit_(unit), previous_(internal::t_counter_sink) {
+  span_.SetArgs(SloRegistry::Global().OrdinalFor(unit));
+  start_ns_ = MonotonicNanos();
   internal::t_counter_sink = this;
-  RANKTIES_FLIGHT(FlightEventId::kQueryUnitBegin, ordinal_);
 }
 
 QueryUnitScope::~QueryUnitScope() {
@@ -174,9 +109,8 @@ QueryUnitScope::~QueryUnitScope() {
   // scopes unwind innermost-first; the sink chain depends on both.
   RANKTIES_DCHECK(internal::t_counter_sink == this);
   internal::t_counter_sink = previous_;
-  const std::int64_t latency_ns = MonotonicNanos() - start_ns_;
-  RANKTIES_FLIGHT(FlightEventId::kQueryUnitEnd, ordinal_, latency_ns);
-  SloRegistry::Global().Report(unit_, latency_ns, attributed_);
+  SloRegistry::Global().Report(unit_, MonotonicNanos() - start_ns_,
+                               attributed_);
 }
 
 std::int64_t QueryUnitScope::Attributed(const Counter* counter) const {

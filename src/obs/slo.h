@@ -2,7 +2,7 @@
 #define RANKTIES_OBS_SLO_H_
 
 /// \file
-/// Per-query cost attribution and SLO checking.
+/// Per-query cost attribution.
 ///
 /// The paper's Section 6 evaluates TA/NRA/MEDRANK through a middleware cost
 /// model — sorted and random access counts — but aggregate counters cannot
@@ -28,10 +28,9 @@
 /// obs::SetEnabled(true) (Counter::Add is a no-op otherwise); latency and
 /// query counts are recorded regardless.
 ///
-/// SLO thresholds are declarative: SloRegistry::Declare registers a bound
-/// on a unit's p99 latency and/or its worst per-query cost on one counter,
-/// and Evaluate() replays every declared bound against the observed stats.
-/// Results surface in tests and in the OpenMetrics export (src/obs/export.h).
+/// Each scope is also one `slo.query_unit` span in the flight recorder.
+/// Unit stats surface in tests and in the OpenMetrics export
+/// (src/obs/export.h).
 ///
 /// With RANKTIES_OBS_DISABLED everything collapses to empty inline stubs.
 
@@ -43,6 +42,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/flight.h"
 #include "obs/metrics.h"
 #include "util/mutex.h"
 
@@ -73,47 +73,19 @@ struct QueryUnitSnapshot {
                               static_cast<double>(queries);
   }
 
-  /// Inclusive upper edge of the bucket holding the 99th-percentile
-  /// latency (bucket granularity; 0 when no queries).
-  std::int64_t LatencyP99UpperNs() const;
-
   /// Attributed total for `counter` (0 if the unit never touched it).
   std::int64_t CostTotal(std::string_view counter) const;
   /// Worst single-query attribution for `counter` (0 if never touched).
   std::int64_t CostMaxPerQuery(std::string_view counter) const;
 };
 
-/// One declarative bound. Zero / empty fields are unchecked, so a
-/// threshold can bound latency, cost, or both.
-struct SloThreshold {
-  std::string unit;
-  /// Bound on LatencyP99UpperNs (0 = not checked).
-  std::int64_t max_p99_latency_ns = 0;
-  /// Counter whose worst per-query cost is bounded (empty = not checked).
-  std::string counter;
-  std::int64_t max_cost_per_query = 0;
-};
-
-/// Outcome of one check of one threshold.
-struct SloCheckResult {
-  std::string unit;
-  std::string check;  ///< "p99_latency_ns" or "max_cost:<counter>"
-  double observed = 0.0;
-  double limit = 0.0;
-  bool ok = true;
-};
-
 #ifndef RANKTIES_OBS_DISABLED
 
-/// Process-wide accumulator of per-unit stats and declared thresholds.
+/// Process-wide accumulator of per-unit stats.
 class SloRegistry {
  public:
   /// The singleton. Leaked on purpose, like the metric Registry.
   static SloRegistry& Global();
-
-  /// Registers one declarative bound; duplicates simply add more checks.
-  void Declare(SloThreshold threshold) RANKTIES_EXCLUDES(mu_);
-  std::vector<SloThreshold> Thresholds() const RANKTIES_EXCLUDES(mu_);
 
   /// All units seen so far, sorted by name.
   std::vector<QueryUnitSnapshot> UnitSnapshots() const
@@ -122,11 +94,7 @@ class SloRegistry {
   QueryUnitSnapshot UnitSnapshot(std::string_view unit) const
       RANKTIES_EXCLUDES(mu_);
 
-  /// Replays every declared threshold against the observed stats. A unit
-  /// with no queries passes vacuously (observed 0).
-  std::vector<SloCheckResult> Evaluate() const RANKTIES_EXCLUDES(mu_);
-
-  /// Drops all unit stats and thresholds (tests and bench baselines only).
+  /// Drops all unit stats (tests and bench baselines only).
   void ResetAll() RANKTIES_EXCLUDES(mu_);
 
  private:
@@ -134,7 +102,7 @@ class SloRegistry {
 
   SloRegistry() = default;
 
-  /// Stable dense ordinal for `unit` (flight-event correlation + export).
+  /// Stable dense ordinal for `unit` (the argument of its flight span).
   std::uint32_t OrdinalFor(std::string_view unit) RANKTIES_EXCLUDES(mu_);
   void Report(std::string_view unit, std::int64_t latency_ns,
               const std::vector<std::pair<Counter*, std::int64_t>>& costs)
@@ -156,7 +124,6 @@ class SloRegistry {
       RANKTIES_GUARDED_BY(mu_);
   std::map<std::string, UnitAccum, std::less<>> units_
       RANKTIES_GUARDED_BY(mu_);
-  std::vector<SloThreshold> thresholds_ RANKTIES_GUARDED_BY(mu_);
 };
 
 /// RAII query unit: installs itself as the calling thread's CounterSink
@@ -183,8 +150,8 @@ class QueryUnitScope : private internal::CounterSink {
  private:
   void OnCounterAdd(Counter* counter, std::int64_t delta) override;
 
+  FlightSpan span_{FlightEventId::kQueryUnit};
   std::string unit_;
-  std::uint32_t ordinal_ = 0;
   std::int64_t start_ns_ = 0;
   internal::CounterSink* previous_ = nullptr;
   /// Linear-scan accumulation: a unit touches a handful of counters, so
@@ -197,15 +164,12 @@ class QueryUnitScope : private internal::CounterSink {
 class SloRegistry {
  public:
   static SloRegistry& Global();
-  void Declare(SloThreshold) {}
-  std::vector<SloThreshold> Thresholds() const { return {}; }
   std::vector<QueryUnitSnapshot> UnitSnapshots() const { return {}; }
   QueryUnitSnapshot UnitSnapshot(std::string_view unit) const {
     QueryUnitSnapshot snapshot;
     snapshot.unit = std::string(unit);
     return snapshot;
   }
-  std::vector<SloCheckResult> Evaluate() const { return {}; }
   void ResetAll() {}
 };
 

@@ -141,8 +141,10 @@ Status CorpusReader::ReadChunk(std::size_t c, std::vector<BucketOrder>* out) {
                               " out of range (corpus has " +
                               std::to_string(directory_.size()) + " chunks)");
   }
-  obs::TraceSpan span("store.read_chunk");
+  obs::FlightSpan span(obs::FlightEventId::kStoreReadChunk);
   const ChunkEntry& entry = directory_[c];
+  span.SetArgs(static_cast<std::int64_t>(c),
+               static_cast<std::int64_t>(entry.list_count));
   out->clear();
 
   // Assemble the chunk's logical byte range from its (cached) blocks.

@@ -7,7 +7,7 @@
 namespace rankties {
 
 /// Monotonic timestamp in nanoseconds on std::chrono::steady_clock. All
-/// timing in the library (stopwatches, obs trace spans, bench harnesses)
+/// timing in the library (stopwatches, obs flight spans, bench harnesses)
 /// reads this one clock so timestamps are comparable across subsystems and
 /// never jump with wall-clock adjustments.
 inline std::int64_t MonotonicNanos() {
@@ -36,34 +36,6 @@ class Stopwatch {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Split (lap) timer on the monotonic clock: every SplitNanos() call
-/// returns the time since the previous split and advances the mark. Used by
-/// obs trace spans for durations, by the thread pool for worker idle
-/// accounting, and available to bench harnesses for per-stage laps.
-class SplitTimer {
- public:
-  SplitTimer() : last_(MonotonicNanos()) {}
-
-  /// Nanoseconds since construction or the previous split; advances.
-  std::int64_t SplitNanos() {
-    const std::int64_t now = MonotonicNanos();
-    const std::int64_t elapsed = now - last_;
-    last_ = now;
-    return elapsed;
-  }
-
-  /// Seconds since construction or the previous split; advances.
-  double SplitSeconds() {
-    return static_cast<double>(SplitNanos()) * 1e-9;
-  }
-
-  /// The current mark (when the running split began).
-  std::int64_t mark_nanos() const { return last_; }
-
- private:
-  std::int64_t last_;
 };
 
 }  // namespace rankties

@@ -92,8 +92,7 @@ void ThreadPool::ParallelFor(
     return;
   }
 
-  obs::TraceSpan span("threadpool.parallel_for");
-  span.SetItems(static_cast<std::int64_t>(end - begin));
+  obs::FlightSpan span(obs::FlightEventId::kParallelFor);
   RANKTIES_OBS_COUNT("threadpool.parallel_for_calls", 1);
 
   auto state = std::make_shared<LoopState>();
@@ -102,10 +101,9 @@ void ThreadPool::ParallelFor(
   state->body = &body;
   state->cursor.store(begin, std::memory_order_relaxed);
   const std::size_t helpers = std::min(workers_.size(), chunks - 1);
-  RANKTIES_FLIGHT(obs::FlightEventId::kParallelFor,
-                  static_cast<std::int64_t>(end - begin),
-                  static_cast<std::int64_t>(g),
-                  static_cast<std::int64_t>(helpers));
+  span.SetArgs(static_cast<std::int64_t>(end - begin),
+               static_cast<std::int64_t>(g),
+               static_cast<std::int64_t>(helpers));
   {
     // No helper can see `state` before the queue push below, but `pending`
     // is mu-guarded state: take the (uncontended) lock rather than carve

@@ -77,12 +77,13 @@ TEST(DegenerateInputsTest, AllTiedBucketIsIdentity) {
   }
 }
 
-// Degenerate inputs through the *instrumented* paths: collection and
-// tracing on, so the obs hooks in the access engines and batch engine see
-// n = 1, k = 0, and all-tied inputs without asserting or emitting garbage.
+// Degenerate inputs through the *instrumented* paths: collection and the
+// flight recorder on, so the obs hooks in the access engines and batch
+// engine see n = 1, k = 0, and all-tied inputs without asserting or
+// emitting garbage.
 TEST(DegenerateInputsTest, InstrumentedEnginesSurviveDegenerateInputs) {
   obs::SetEnabled(true);
-  obs::TraceRecorder::Global().Start();
+  obs::FlightRecorder::Global().SetEnabled(true);
 
   const std::vector<BucketOrder> singles = {BucketOrder::SingleBucket(1),
                                             BucketOrder::SingleBucket(1)};
@@ -100,9 +101,9 @@ TEST(DegenerateInputsTest, InstrumentedEnginesSurviveDegenerateInputs) {
     for (const double d : row) EXPECT_EQ(d, 0.0);
   }
 
-  obs::TraceRecorder::Global().Stop();
-  const std::string doc = obs::TraceJsonDocument();
-  EXPECT_NE(doc.find("rankties-trace-v1"), std::string::npos);
+  obs::FlightRecorder::Global().SetEnabled(false);
+  const std::string doc = obs::PerfettoJsonDocument();
+  EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
   obs::SetEnabled(false);
 }
 

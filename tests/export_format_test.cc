@@ -1,7 +1,8 @@
 // Tests for the export formats (src/obs/export.h): JSON and OpenMetrics
 // escaping round-trips for hostile metric names (quotes, backslashes,
-// control bytes, UTF-8), cumulative-histogram validity, the Perfetto and
-// flight documents, and valid-but-empty output in every mode.
+// control bytes, UTF-8), cumulative-histogram validity, the Perfetto
+// document rendered from the flight rings, and valid-but-empty output in
+// every mode.
 
 #include <gtest/gtest.h>
 
@@ -49,7 +50,6 @@ class ExportFormatTest : public ::testing::Test {
   void SetUp() override {
     obs::Registry::Global().ResetAll();
     obs::SloRegistry::Global().ResetAll();
-    obs::TraceRecorder::Global().Clear();
     obs::FlightRecorder::Global().Clear();
     obs::SetEnabled(true);
   }
@@ -58,7 +58,6 @@ class ExportFormatTest : public ::testing::Test {
     obs::FlightRecorder::Global().SetEnabled(false);
     obs::FlightRecorder::Global().Clear();
     obs::SloRegistry::Global().ResetAll();
-    obs::TraceRecorder::Global().Stop();
   }
 };
 
@@ -75,11 +74,6 @@ TEST_F(ExportFormatTest, JsonEscapesHostileMetricNames) {
   EXPECT_TRUE(Contains(metrics, "test.export.ctrl\\u0001byte"));
   // Multi-byte UTF-8 passes through verbatim.
   EXPECT_TRUE(Contains(metrics, "test.export.utf8.\xc3\xa9\xe2\x82\xac"));
-
-  const std::string trace = obs::TraceJsonDocument();
-  EXPECT_TRUE(BalancedJson(trace)) << trace;
-  EXPECT_TRUE(
-      Contains(trace, "test.export.quote\\\"backslash\\\\tab\\tnewline\\n"));
 }
 
 TEST_F(ExportFormatTest, OpenMetricsEscapesLabelValues) {
@@ -130,17 +124,12 @@ TEST_F(ExportFormatTest, OpenMetricsHistogramIsCumulative) {
   EXPECT_TRUE(Contains(text, "rankties_histogram_count" + id + "} 4"));
 }
 
-TEST_F(ExportFormatTest, OpenMetricsCarriesQueryUnitsAndSloChecks) {
+TEST_F(ExportFormatTest, OpenMetricsCarriesQueryUnits) {
   obs::Counter* counter = obs::GetCounter("test.export.unit_cost");
   {
     obs::QueryUnitScope unit("test.export.unit");
     counter->Add(21);
   }
-  obs::SloThreshold threshold;
-  threshold.unit = "test.export.unit";
-  threshold.counter = "test.export.unit_cost";
-  threshold.max_cost_per_query = 5;  // violated: 21 attributed
-  obs::SloRegistry::Global().Declare(threshold);
   const std::string text = obs::OpenMetricsText();
   EXPECT_TRUE(Contains(
       text, "rankties_query_unit_queries_total{unit=\"test.export.unit\"} 1"));
@@ -150,40 +139,36 @@ TEST_F(ExportFormatTest, OpenMetricsCarriesQueryUnitsAndSloChecks) {
       "counter=\"test.export.unit_cost\"} 21"));
   EXPECT_TRUE(Contains(
       text,
-      "rankties_slo_ok{unit=\"test.export.unit\","
-      "check=\"max_cost:test.export.unit_cost\"} 0"));
-  EXPECT_TRUE(Contains(
-      text,
-      "rankties_slo_limit{unit=\"test.export.unit\","
-      "check=\"max_cost:test.export.unit_cost\"} 5"));
+      "rankties_query_unit_cost_max{unit=\"test.export.unit\","
+      "counter=\"test.export.unit_cost\"} 21"));
+  EXPECT_FALSE(Contains(text, "rankties_slo_"));
 }
 
-TEST_F(ExportFormatTest, PerfettoDocumentCarriesSpansAsCompleteEvents) {
-  obs::TraceRecorder::Global().Start();
+TEST_F(ExportFormatTest, PerfettoRendersSpansAndPointEventsFromTheRings) {
+  obs::FlightRecorder::Global().SetEnabled(true);
   {
-    obs::TraceSpan span("test.export.perfetto \"span\"");
-    span.SetItems(9);
+    obs::FlightSpan span(obs::FlightEventId::kTaRun);
+    span.SetArgs(4, 17, 6);
+    RANKTIES_FLIGHT(obs::FlightEventId::kOnlineMedianAdd, 2, 9);
   }
-  obs::TraceRecorder::Global().Stop();
+  obs::FlightRecorder::Global().SetEnabled(false);
   const std::string doc = obs::PerfettoJsonDocument();
   EXPECT_TRUE(BalancedJson(doc)) << doc;
   EXPECT_TRUE(Contains(doc, "\"displayTimeUnit\": \"ns\""));
+  EXPECT_TRUE(
+      Contains(doc, "\"otherData\": {\"dropped\": 0, \"overwritten\": 0}"));
   EXPECT_TRUE(Contains(doc, "\"ph\": \"M\""));
   EXPECT_TRUE(Contains(doc, "\"process_name\""));
-  EXPECT_TRUE(Contains(doc, "\"ph\": \"X\""));
-  EXPECT_TRUE(Contains(doc, "test.export.perfetto \\\"span\\\""));
-  EXPECT_TRUE(Contains(doc, "\"items\": 9"));
-}
-
-TEST_F(ExportFormatTest, FlightDocumentRoundTripsEvents) {
-  obs::FlightRecorder::Global().SetEnabled(true);
-  RANKTIES_FLIGHT(obs::FlightEventId::kTaRun, 4, 17, 6);
-  const std::string doc = obs::FlightJsonDocument();
-  EXPECT_TRUE(BalancedJson(doc)) << doc;
-  EXPECT_TRUE(Contains(doc, "\"schema\": \"rankties-flight-v1\""));
-  EXPECT_TRUE(Contains(doc, "\"event\": \"access.ta.run\""));
-  EXPECT_TRUE(Contains(doc, "\"args\": [4, 17, 6]"));
-  EXPECT_TRUE(Contains(doc, "\"dropped\": 0"));
+  // The span is a complete event with a duration...
+  EXPECT_TRUE(Contains(doc, "{\"ph\": \"X\", \"cat\": \"rankties\""));
+  EXPECT_TRUE(Contains(doc, "\"name\": \"access.ta.run\""));
+  EXPECT_TRUE(Contains(doc, "\"dur\": "));
+  EXPECT_TRUE(
+      Contains(doc, "\"args\": {\"k\": 4, \"sorted\": 17, \"random\": 6}"));
+  // ...the point event a thread-scoped instant with its named args only.
+  EXPECT_TRUE(Contains(doc, "{\"ph\": \"i\", \"s\": \"t\""));
+  EXPECT_TRUE(Contains(doc, "\"name\": \"online_median.add_voter\""));
+  EXPECT_TRUE(Contains(doc, "\"args\": {\"voter\": 2, \"n\": 9}"));
 }
 
 TEST_F(ExportFormatTest, EmptyDocumentsStayValid) {
@@ -192,7 +177,6 @@ TEST_F(ExportFormatTest, EmptyDocumentsStayValid) {
   EXPECT_TRUE(om.size() >= 6 &&
               om.compare(om.size() - 6, 6, "# EOF\n") == 0);
   EXPECT_TRUE(BalancedJson(obs::PerfettoJsonDocument()));
-  EXPECT_TRUE(BalancedJson(obs::FlightJsonDocument()));
   EXPECT_TRUE(BalancedJson(obs::MetricsJsonObject()));
 }
 
@@ -203,9 +187,9 @@ TEST(ExportFormatDisabledTest, DocumentsStayValidWhenCompiledOut) {
   EXPECT_TRUE(om.size() >= 6 &&
               om.compare(om.size() - 6, 6, "# EOF\n") == 0);
   EXPECT_TRUE(BalancedJson(obs::PerfettoJsonDocument()));
-  EXPECT_TRUE(BalancedJson(obs::FlightJsonDocument()));
   EXPECT_TRUE(BalancedJson(obs::MetricsJsonObject()));
-  EXPECT_TRUE(Contains(obs::FlightJsonDocument(), "rankties-flight-v1"));
+  EXPECT_TRUE(Contains(obs::PerfettoJsonDocument(),
+                       "\"otherData\": {\"dropped\": 0, \"overwritten\": 0}"));
 }
 
 #endif  // RANKTIES_OBS_DISABLED

@@ -1,11 +1,14 @@
 // Tests for the flight recorder (src/obs/flight.h): bounded
-// overwrite-oldest rings, multi-thread drains, runtime-disabled no-op
-// behavior, and the contracts-layer post-mortem hook. The file compiles in
+// overwrite-oldest rings shared by spans and point events, multi-thread
+// drains, runtime-disabled no-op behavior, and the contracts-layer
+// post-mortem hook. The file compiles in
 // both build modes; live-recording tests are gated on RANKTIES_OBS_DISABLED.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <regex>
 #include <thread>
 #include <vector>
 
@@ -69,6 +72,49 @@ TEST_F(FlightTest, RingOverwritesOldestAndStaysBounded) {
   EXPECT_EQ(obs::FlightRecorder::Global().overwritten(), kExtra);
 }
 
+TEST_F(FlightTest, SpansAndPointEventsShareTheRingThroughWrapAround) {
+  // Alternate a span (args i, dur >= 0) and a point event (args i, dur -1)
+  // until the ring has wrapped; the survivors must still pair up.
+  constexpr std::int64_t kExtra = 50;
+  const std::int64_t total =
+      static_cast<std::int64_t>(obs::FlightRecorder::kEventsPerThread) / 2 +
+      kExtra;
+  for (std::int64_t i = 0; i < total; ++i) {
+    {
+      obs::FlightSpan span(obs::FlightEventId::kBatchMatrix);
+      span.SetArgs(i, 2 * i, 3 * i);
+    }
+    RANKTIES_FLIGHT(obs::FlightEventId::kIncrementalMove, i);
+  }
+  const std::vector<obs::FlightEvent> events =
+      obs::FlightRecorder::Global().Drain();
+  ASSERT_EQ(events.size(), obs::FlightRecorder::kEventsPerThread);
+  EXPECT_EQ(obs::FlightRecorder::Global().overwritten(), 2 * kExtra);
+  // The oldest 2*kExtra events (kExtra of each form) were overwritten.
+  EXPECT_EQ(events.front().args[0], kExtra);
+  EXPECT_EQ(events.back().args[0], total - 1);
+  // Every surviving span kept its args and duration, and so did the point
+  // event recorded after it closed.
+  std::map<std::int64_t, std::int64_t> point_ts;
+  for (const obs::FlightEvent& event : events) {
+    if (!event.is_span()) point_ts[event.args[0]] = event.ts_ns;
+  }
+  EXPECT_EQ(point_ts.size(), static_cast<std::size_t>(total - kExtra));
+  std::int64_t spans = 0;
+  for (const obs::FlightEvent& event : events) {
+    if (!event.is_span()) continue;
+    ++spans;
+    EXPECT_EQ(event.event,
+              static_cast<std::uint32_t>(obs::FlightEventId::kBatchMatrix));
+    EXPECT_EQ(event.args[1], 2 * event.args[0]);
+    EXPECT_EQ(event.args[2], 3 * event.args[0]);
+    const auto point = point_ts.find(event.args[0]);
+    ASSERT_NE(point, point_ts.end());
+    EXPECT_GE(point->second, event.ts_ns + event.dur_ns);
+  }
+  EXPECT_EQ(spans, total - kExtra);
+}
+
 TEST_F(FlightTest, DrainMergesEventsFromMultipleThreads) {
   constexpr int kThreads = 3;
   constexpr std::int64_t kPerThread = 500;
@@ -105,11 +151,17 @@ TEST_F(FlightTest, DisabledRecorderDropsEventsSilently) {
 }
 
 TEST_F(FlightTest, EventNamesFollowMetricConvention) {
+  const std::regex kDotted("[a-z][a-z0-9_]*(\\.[a-z][a-z0-9_]*)+");
   for (std::uint32_t id = 1;
        id < static_cast<std::uint32_t>(obs::FlightEventId::kCount); ++id) {
     const char* name =
         obs::FlightEventName(static_cast<obs::FlightEventId>(id));
     EXPECT_STRNE(name, "unknown") << "id " << id;
+    // Event names double as span names: lowercase.dotted, like metrics.
+    EXPECT_TRUE(std::regex_match(name, kDotted)) << name;
+    EXPECT_NE(obs::FlightEventArgName(static_cast<obs::FlightEventId>(id), 0),
+              nullptr)
+        << name;
   }
   // Torn events (garbage ids) must resolve to a printable fallback.
   EXPECT_STREQ(obs::FlightEventName(static_cast<obs::FlightEventId>(9999)),
@@ -137,6 +189,10 @@ TEST(FlightDisabledTest, ApiIsInertButValid) {
   recorder.SetEnabled(true);  // must be a no-op
   EXPECT_FALSE(recorder.enabled());
   RANKTIES_FLIGHT(obs::FlightEventId::kTaRun, 1, 2, 3);
+  {
+    obs::FlightSpan span(obs::FlightEventId::kTaRun);
+    span.SetArgs(1, 2, 3);
+  }
   EXPECT_TRUE(recorder.Drain().empty());
   EXPECT_EQ(recorder.dropped(), 0);
   EXPECT_EQ(recorder.overwritten(), 0);

@@ -15,13 +15,13 @@
 // whichever is smaller wins. The mutation-trace sweep scales with the same
 // case count (one trace per ~40 cases), so the cap shrinks it too.
 //
-// --obs (or RANKTIES_OBS=1) turns metric collection, trace recording and
-// the flight recorder on for the whole sweep, so the fuzz workload also
-// exercises the src/obs instrumentation in the engines under test (a CI
-// shard runs this way). On failure the flight recorder's newest events are
-// dumped to stderr as a post-mortem. --perfetto=<path> (env
-// RANKTIES_FUZZ_PERFETTO) additionally writes the sweep's span recorder as
-// Chrome trace-event JSON — CI publishes it as a workflow artifact.
+// --obs (or RANKTIES_OBS=1) turns metric collection and the flight
+// recorder on for the whole sweep, so the fuzz workload also exercises the
+// src/obs instrumentation in the engines under test (a CI shard runs this
+// way). On failure the flight recorder's newest events are dumped to
+// stderr as a post-mortem. --trace=<path> (env RANKTIES_FUZZ_PERFETTO)
+// additionally writes the flight rings' newest window as Chrome
+// trace-event JSON — CI publishes it as a workflow artifact.
 
 #include <gtest/gtest.h>
 
@@ -55,7 +55,7 @@ struct FuzzFlags {
   std::optional<std::int64_t> max_cases;  ///< cap on `cases`, never a raise
   std::optional<std::uint64_t> single_seed;
   std::string failure_file;
-  std::string perfetto_file;
+  std::string trace_file;
   bool obs = false;
 
   std::int64_t EffectiveCases() const {
@@ -332,7 +332,7 @@ void ParseFuzzFlags(int argc, char** argv) {
     flags.obs = env[0] != '\0' && env[0] != '0';
   }
   if (const char* env = std::getenv("RANKTIES_FUZZ_PERFETTO")) {
-    flags.perfetto_file = env;
+    flags.trace_file = env;
   }
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -346,8 +346,8 @@ void ParseFuzzFlags(int argc, char** argv) {
       flags.max_cases = static_cast<std::int64_t>(ParseU64(arg + 12));
     } else if (std::strncmp(arg, "--failure-file=", 15) == 0) {
       flags.failure_file = arg + 15;
-    } else if (std::strncmp(arg, "--perfetto=", 11) == 0) {
-      flags.perfetto_file = arg + 11;
+    } else if (std::strncmp(arg, "--trace=", 8) == 0) {
+      flags.trace_file = arg + 8;
     } else if (std::strcmp(arg, "--obs") == 0) {
       flags.obs = true;
     }
@@ -360,39 +360,38 @@ void ParseFuzzFlags(int argc, char** argv) {
 int main(int argc, char** argv) {
   ::testing::InitGoogleTest(&argc, argv);
   ParseFuzzFlags(argc, argv);
-  const bool obs_on =
-      rankties::fuzz::Flags().obs ||
-      !rankties::fuzz::Flags().perfetto_file.empty();
+  const bool obs_on = rankties::fuzz::Flags().obs ||
+                      !rankties::fuzz::Flags().trace_file.empty();
+  rankties::obs::FlightRecorder& recorder =
+      rankties::obs::FlightRecorder::Global();
   if (obs_on) {
     rankties::obs::SetEnabled(true);
-    rankties::obs::TraceRecorder::Global().Start();
-    rankties::obs::FlightRecorder::Global().SetEnabled(true);
-    std::fprintf(stderr,
-                 "fuzz: obs collection + tracing + flight recorder "
-                 "enabled\n");
+    recorder.SetEnabled(true);
+    std::fprintf(stderr, "fuzz: obs collection + flight recorder enabled\n");
   }
   const int rc = RUN_ALL_TESTS();
   if (obs_on) {
-    rankties::obs::TraceRecorder::Global().Stop();
-    rankties::obs::FlightRecorder::Global().SetEnabled(false);
-    std::fprintf(stderr, "fuzz: %lld spans recorded, counters:\n%s\n",
-                 static_cast<long long>(
-                     rankties::obs::TraceRecorder::Global().size()),
+    recorder.SetEnabled(false);
+    std::fprintf(stderr,
+                 "fuzz: %zu flight events kept (%lld overwritten), "
+                 "counters:\n%s\n",
+                 recorder.Drain().size(),
+                 static_cast<long long>(recorder.overwritten()),
                  rankties::obs::MetricsJsonObject().c_str());
     if (rc != 0) {
       // Post-mortem: the newest structured events leading into the
       // failing window (RANKTIES_DCHECK aborts dump the same way through
       // the contracts failure hook).
-      rankties::obs::FlightRecorder::Global().DumpToStderr(128);
+      recorder.DumpToStderr(128);
     }
-    const std::string& perfetto = rankties::fuzz::Flags().perfetto_file;
-    if (!perfetto.empty()) {
-      if (rankties::obs::WritePerfettoJson(perfetto)) {
+    const std::string& trace = rankties::fuzz::Flags().trace_file;
+    if (!trace.empty()) {
+      if (rankties::obs::WritePerfettoJson(trace)) {
         std::fprintf(stderr, "fuzz: perfetto trace written to %s\n",
-                     perfetto.c_str());
+                     trace.c_str());
       } else {
         std::fprintf(stderr, "fuzz: FAILED to write perfetto trace to %s\n",
-                     perfetto.c_str());
+                     trace.c_str());
         return rc == 0 ? 1 : rc;
       }
     }

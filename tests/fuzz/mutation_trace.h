@@ -5,7 +5,7 @@
 
 #include "fuzz/differential.h"
 
-/// The mutation-trace fuzz family (ROADMAP item 4): seeded random edit
+/// The mutation-trace fuzz family (incremental engines): seeded random edit
 /// scripts applied through every delta path — PreparedRanking in-place
 /// edits, IncrementalDistanceMatrix row/count maintenance, and
 /// OnlineMedianAggregator voter updates — asserting bit-exact agreement

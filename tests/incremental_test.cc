@@ -1,5 +1,5 @@
-// Unit tests for the incremental engine (ROADMAP item 4): PreparedRanking
-// delta operations, IncrementalDistanceMatrix row/count maintenance, and
+// Unit tests for the incremental engines: PreparedRanking delta
+// operations, IncrementalDistanceMatrix row/count maintenance, and
 // the delta-aware OnlineMedianAggregator — hand-built cases with known
 // answers plus seeded randomized agreement with the batch engines. The
 // adversarial differential coverage lives in the mutation-trace fuzz

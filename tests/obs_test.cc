@@ -1,8 +1,9 @@
 // Tests for the src/obs observability subsystem: counter/histogram
-// exactness under concurrent writers, span nesting, JSON export round-trip,
-// and the runtime-disabled / compiled-out behavior. The whole file compiles
-// in both build modes; tests that need live collection are gated on
-// RANKTIES_OBS_DISABLED and replaced by no-op-behavior checks there.
+// exactness under concurrent writers, flight-span nesting, JSON export
+// round-trip, and the runtime-disabled / compiled-out behavior. The whole
+// file compiles in both build modes; tests that need live collection are
+// gated on RANKTIES_OBS_DISABLED and replaced by no-op-behavior checks
+// there.
 
 #include <gtest/gtest.h>
 
@@ -52,12 +53,13 @@ class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
     obs::Registry::Global().ResetAll();
-    obs::TraceRecorder::Global().Clear();
+    obs::FlightRecorder::Global().Clear();
     obs::SetEnabled(true);
   }
   void TearDown() override {
     obs::SetEnabled(false);
-    obs::TraceRecorder::Global().Stop();
+    obs::FlightRecorder::Global().SetEnabled(false);
+    obs::FlightRecorder::Global().Clear();
   }
 };
 
@@ -149,73 +151,68 @@ TEST_F(ObsTest, ScopedHistogramTimerRecordsOneSample) {
   EXPECT_GE(snapshot.sum, 0);
 }
 
-TEST_F(ObsTest, SpanNestingRecordsParentLinks) {
-  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
-  recorder.Start();
+TEST_F(ObsTest, NestedSpansDrainAsTimeContainedCompleteEvents) {
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
+  recorder.SetEnabled(true);
   {
-    obs::TraceSpan outer("test.outer");
+    obs::FlightSpan outer(obs::FlightEventId::kBatchMatrix);
+    outer.SetArgs(4, 6, 1);
     {
-      obs::TraceSpan inner("test.inner");
-      inner.SetItems(42);
+      obs::FlightSpan inner(obs::FlightEventId::kParallelFor);
+      inner.SetArgs(42, 1, 2);
     }
     {
-      obs::TraceSpan sibling("test.sibling");
+      obs::FlightSpan sibling(obs::FlightEventId::kParallelFor);
     }
   }
-  recorder.Stop();
-  const std::vector<obs::SpanRecord> spans = recorder.Snapshot();
-  ASSERT_EQ(spans.size(), 3u);
-  // Spans land in completion order: inner, sibling, outer.
-  const obs::SpanRecord& inner = spans[0];
-  const obs::SpanRecord& sibling = spans[1];
-  const obs::SpanRecord& outer = spans[2];
-  EXPECT_STREQ(inner.name, "test.inner");
-  EXPECT_STREQ(sibling.name, "test.sibling");
-  EXPECT_STREQ(outer.name, "test.outer");
-  EXPECT_EQ(outer.parent, 0u);
-  EXPECT_EQ(inner.parent, outer.id);
-  EXPECT_EQ(sibling.parent, outer.id);
-  EXPECT_EQ(inner.items, 42);
-  EXPECT_EQ(outer.items, -1);
-  EXPECT_GE(outer.duration_ns, inner.duration_ns);
-  EXPECT_EQ(inner.thread, outer.thread);
+  recorder.SetEnabled(false);
+  const std::vector<obs::FlightEvent> events = recorder.Drain();
+  ASSERT_EQ(events.size(), 3u);
+  // Drained by start time: outer, inner, sibling.
+  const obs::FlightEvent& outer = events[0];
+  const obs::FlightEvent& inner = events[1];
+  const obs::FlightEvent& sibling = events[2];
+  EXPECT_EQ(outer.event,
+            static_cast<std::uint32_t>(obs::FlightEventId::kBatchMatrix));
+  EXPECT_EQ(inner.event,
+            static_cast<std::uint32_t>(obs::FlightEventId::kParallelFor));
+  for (const obs::FlightEvent* child : {&inner, &sibling}) {
+    ASSERT_TRUE(child->is_span());
+    EXPECT_EQ(child->thread, outer.thread);
+    EXPECT_GE(child->ts_ns, outer.ts_ns);
+    EXPECT_LE(child->ts_ns + child->dur_ns, outer.ts_ns + outer.dur_ns);
+  }
+  EXPECT_GE(sibling.ts_ns, inner.ts_ns + inner.dur_ns);
+  EXPECT_EQ(inner.args[0], 42);
+  EXPECT_EQ(outer.args[1], 6);
+
+  const std::string doc = obs::PerfettoJsonDocument();
+  EXPECT_TRUE(BalancedJson(doc)) << doc;
+  EXPECT_TRUE(Contains(doc, "\"ph\": \"X\""));
+  EXPECT_TRUE(Contains(doc, "\"name\": \"batch.distance_matrix\""));
+  EXPECT_TRUE(Contains(
+      doc, "\"args\": {\"items\": 42, \"grain\": 1, \"helpers\": 2}"));
 }
 
-TEST_F(ObsTest, SpansOutsideRecordingAreDropped) {
-  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
-  recorder.Clear();
+TEST_F(ObsTest, SpanOpenedWhileRecorderOffEmitsNothing) {
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
   {
-    obs::TraceSpan span("test.not_recording");
+    obs::FlightSpan span(obs::FlightEventId::kBatchMatrix);
+    recorder.SetEnabled(true);  // too late: the span opened while off
   }
-  EXPECT_EQ(recorder.size(), 0u);
+  recorder.SetEnabled(false);
+  EXPECT_TRUE(recorder.Drain().empty());
 }
 
 TEST_F(ObsTest, JsonExportRoundTrip) {
   obs::GetCounter("test.export_counter")->Add(123);
   obs::GetHistogram("test.export_histogram")->Record(5);
-  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
-  recorder.Start();
-  {
-    obs::TraceSpan span("test.export_span");
-    span.SetItems(7);
-  }
-  recorder.Stop();
-
-  const std::string doc = obs::TraceJsonDocument();
-  EXPECT_TRUE(BalancedJson(doc)) << doc;
-  EXPECT_TRUE(Contains(doc, "\"schema\": \"rankties-trace-v1\""));
-  EXPECT_TRUE(Contains(doc, "\"clock\": \"steady_ns\""));
-  EXPECT_TRUE(Contains(doc, "\"dropped_spans\": 0"));
-  EXPECT_TRUE(Contains(doc, "\"name\": \"test.export_span\""));
-  EXPECT_TRUE(Contains(doc, "\"items\": 7"));
-  EXPECT_TRUE(Contains(doc, "\"test.export_counter\": 123"));
-  EXPECT_TRUE(Contains(doc, "\"test.export_histogram\""));
-
   const std::string metrics = obs::MetricsJsonObject();
   EXPECT_TRUE(BalancedJson(metrics)) << metrics;
   EXPECT_TRUE(Contains(metrics, "\"counters\""));
   EXPECT_TRUE(Contains(metrics, "\"histograms\""));
   EXPECT_TRUE(Contains(metrics, "\"test.export_counter\": 123"));
+  EXPECT_TRUE(Contains(metrics, "\"test.export_histogram\""));
 }
 
 TEST_F(ObsTest, ResetAllZeroesEveryMetric) {
@@ -243,21 +240,20 @@ TEST(ObsDisabledTest, ApiIsInertButValid) {
 }
 
 TEST(ObsDisabledTest, TracingIsInertButValid) {
-  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
-  recorder.Start();
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
+  recorder.SetEnabled(true);
   {
-    obs::TraceSpan span("test.disabled_span");
-    span.SetItems(1);
+    obs::FlightSpan span(obs::FlightEventId::kBatchMatrix);
+    span.SetArgs(1);
   }
-  recorder.Stop();
-  EXPECT_EQ(recorder.size(), 0u);
-  EXPECT_FALSE(recorder.recording());
+  EXPECT_TRUE(recorder.Drain().empty());
+  EXPECT_FALSE(recorder.enabled());
 }
 
 TEST(ObsDisabledTest, ExportsStayValidJson) {
-  const std::string doc = obs::TraceJsonDocument();
+  const std::string doc = obs::PerfettoJsonDocument();
   EXPECT_TRUE(BalancedJson(doc)) << doc;
-  EXPECT_TRUE(Contains(doc, "\"schema\": \"rankties-trace-v1\""));
+  EXPECT_TRUE(Contains(doc, "\"traceEvents\""));
   const std::string metrics = obs::MetricsJsonObject();
   EXPECT_TRUE(BalancedJson(metrics)) << metrics;
 }

@@ -1,4 +1,4 @@
-// Tests for per-query cost attribution and SLO checking (src/obs/slo.h).
+// Tests for per-query cost attribution (src/obs/slo.h).
 // The headline acceptance test interleaves two MEDRANK streaming queries on
 // one thread and asserts that each query unit reports its own Section-6
 // sorted-access cost exactly, with the two attributions summing bit-exactly
@@ -129,76 +129,33 @@ TEST_F(SloTest, RepeatedQueriesAccumulateAndTrackMax) {
   EXPECT_GE(unit.MeanLatencyNs(), 0.0);
 }
 
-TEST_F(SloTest, LatencyP99PicksCeilingBucketEdge) {
-  obs::QueryUnitSnapshot snapshot;
-  snapshot.queries = 100;
-  snapshot.latency_buckets[3] = 99;   // values in (3, 7]
-  snapshot.latency_buckets[10] = 1;   // one outlier in (511, 1023]
-  // ceil(99% of 100) = 99 queries are covered by bucket 3 already.
-  EXPECT_EQ(snapshot.LatencyP99UpperNs(), 7);
-  snapshot.latency_buckets[3] = 98;
-  snapshot.latency_buckets[10] = 2;
-  EXPECT_EQ(snapshot.LatencyP99UpperNs(), 1023);
-  obs::QueryUnitSnapshot empty;
-  EXPECT_EQ(empty.LatencyP99UpperNs(), 0);
-}
-
-TEST_F(SloTest, EvaluateChecksDeclaredThresholds) {
-  obs::Counter* counter = obs::GetCounter("test.slo.checked");
+TEST_F(SloTest, QueryUnitRecordsOneFlightSpan) {
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
+  recorder.Clear();
+  recorder.SetEnabled(true);
   {
-    obs::QueryUnitScope unit("test.slo.checked_unit");
-    counter->Add(40);
+    obs::QueryUnitScope unit("test.slo.span_unit");
   }
-  obs::SloThreshold generous;
-  generous.unit = "test.slo.checked_unit";
-  generous.max_p99_latency_ns = 1'000'000'000'000;  // effectively unbounded
-  generous.counter = "test.slo.checked";
-  generous.max_cost_per_query = 1000;
-  obs::SloRegistry::Global().Declare(generous);
-
-  obs::SloThreshold tight;
-  tight.unit = "test.slo.checked_unit";
-  tight.counter = "test.slo.checked";
-  tight.max_cost_per_query = 10;  // observed 40 per query -> violated
-  obs::SloRegistry::Global().Declare(tight);
-
-  obs::SloThreshold unseen;
-  unseen.unit = "test.slo.never_ran";
-  unseen.max_p99_latency_ns = 1;
-  obs::SloRegistry::Global().Declare(unseen);
-
-  const std::vector<obs::SloCheckResult> results =
-      obs::SloRegistry::Global().Evaluate();
-  ASSERT_EQ(results.size(), 4u);  // latency + cost, cost, latency
-  int ok_count = 0;
-  int violated = 0;
-  for (const obs::SloCheckResult& result : results) {
-    if (result.ok) {
-      ++ok_count;
-    } else {
-      ++violated;
-      EXPECT_EQ(result.unit, "test.slo.checked_unit");
-      EXPECT_EQ(result.check, "max_cost:test.slo.checked");
-      EXPECT_EQ(result.observed, 40.0);
-      EXPECT_EQ(result.limit, 10.0);
-    }
-  }
-  EXPECT_EQ(violated, 1);
-  EXPECT_EQ(ok_count, 3);  // includes the vacuous pass for the unseen unit
+  recorder.SetEnabled(false);
+  const std::vector<obs::FlightEvent> events = recorder.Drain();
+  recorder.Clear();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].event,
+            static_cast<std::uint32_t>(obs::FlightEventId::kQueryUnit));
+  EXPECT_TRUE(events[0].is_span());
+  const obs::QueryUnitSnapshot unit =
+      obs::SloRegistry::Global().UnitSnapshot("test.slo.span_unit");
+  EXPECT_GE(unit.latency_sum_ns, 0);
+  EXPECT_LE(unit.latency_sum_ns, events[0].dur_ns);
 }
 
-TEST_F(SloTest, ResetAllDropsUnitsAndThresholds) {
+TEST_F(SloTest, ResetAllDropsUnits) {
   {
     obs::QueryUnitScope unit("test.slo.reset_unit");
   }
-  obs::SloThreshold threshold;
-  threshold.unit = "test.slo.reset_unit";
-  threshold.max_p99_latency_ns = 1;
-  obs::SloRegistry::Global().Declare(threshold);
+  EXPECT_EQ(obs::SloRegistry::Global().UnitSnapshots().size(), 1u);
   obs::SloRegistry::Global().ResetAll();
   EXPECT_TRUE(obs::SloRegistry::Global().UnitSnapshots().empty());
-  EXPECT_TRUE(obs::SloRegistry::Global().Thresholds().empty());
-  EXPECT_TRUE(obs::SloRegistry::Global().Evaluate().empty());
 }
 
 #else  // RANKTIES_OBS_DISABLED
@@ -212,13 +169,7 @@ TEST(SloDisabledTest, ApiIsInertButValid) {
     EXPECT_TRUE(unit.AttributedSnapshots().empty());
     EXPECT_EQ(unit.unit(), "test.slo.disabled_unit");
   }
-  obs::SloThreshold threshold;
-  threshold.unit = "test.slo.disabled_unit";
-  threshold.max_p99_latency_ns = 1;
-  obs::SloRegistry::Global().Declare(threshold);
-  EXPECT_TRUE(obs::SloRegistry::Global().Thresholds().empty());
   EXPECT_TRUE(obs::SloRegistry::Global().UnitSnapshots().empty());
-  EXPECT_TRUE(obs::SloRegistry::Global().Evaluate().empty());
   const obs::QueryUnitSnapshot snapshot =
       obs::SloRegistry::Global().UnitSnapshot("test.slo.disabled_unit");
   EXPECT_EQ(snapshot.queries, 0);

@@ -47,16 +47,18 @@ Rules (rationale in docs/STATIC_ANALYSIS.md):
                                RANKTIES_NO_AVX2 guarantees the CI dispatch
                                matrix enforces.
 
-  RT007 metric-name-literal    Metric / span / query-unit names at
+  RT007 metric-name-literal    Metric / query-unit names at
                                RANKTIES_OBS_COUNT, RANKTIES_OBS_RECORD,
-                               obs::GetCounter, obs::GetHistogram,
-                               obs::TraceSpan and obs::QueryUnitScope call
-                               sites must be string literals in
-                               `lowercase.dotted` form (segments of
-                               [a-z][a-z0-9_]*, at least two, joined by
-                               dots). Literal names keep the counter
-                               catalog in docs/OBSERVABILITY.md greppable
-                               and the OpenMetrics label space predictable.
+                               obs::GetCounter, obs::GetHistogram and
+                               obs::QueryUnitScope call sites must be
+                               string literals in `lowercase.dotted` form
+                               (segments of [a-z][a-z0-9_]*, at least two,
+                               joined by dots). Literal names keep the
+                               counter catalog in docs/OBSERVABILITY.md
+                               greppable and the OpenMetrics label space
+                               predictable. Span and flight-event names
+                               come from the closed obs::FlightEventId
+                               table, which flight_test checks instead.
                                Scope: src/, bench/, examples/; src/obs/
                                itself is exempt (it manipulates names
                                generically), and a first argument on a
@@ -137,7 +139,7 @@ RAW_SYNC = re.compile(
 METRIC_CALL = re.compile(
     r"RANKTIES_OBS_COUNT\s*\(|RANKTIES_OBS_RECORD\s*\(|"
     r"\b(?:obs::)?(?:GetCounter|GetHistogram)\s*\(|"
-    r"\b(?:obs::)?(?:TraceSpan|QueryUnitScope)\s+\w+\s*\(")
+    r"\b(?:obs::)?QueryUnitScope\s+\w+\s*\(")
 METRIC_NAME = re.compile(r"[a-z][a-z0-9_]*(?:\.[a-z][a-z0-9_]*)+")
 STRING_LITERAL = re.compile(r'"((?:[^"\\]|\\.)*)"')
 ALLOW = re.compile(r"rankties-lint:\s*allow\((RT\d{3})\)")
