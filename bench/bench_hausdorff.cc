@@ -19,6 +19,7 @@
 #include "gen/mallows.h"
 #include "gen/random_orders.h"
 #include "rank/refinement.h"
+#include "ref/per_pair.h"
 #include "util/rng.h"
 #include "util/simd.h"
 #include "util/stopwatch.h"
@@ -42,12 +43,12 @@ void BruteVsPolynomial() {
     const double brute_ms = brute_watch.Millis();
     Stopwatch fast_watch;
     const std::int64_t fast_k = KHausdorff(sigma, tau);
-    const std::int64_t fast_f = TwiceFHausdorff(sigma, tau) / 2;
+    const std::int64_t fast_f = ref::TwiceFHausdorffTheorem5(sigma, tau) / 2;
     const double fast_ms = fast_watch.Millis();
     std::printf("%-4zu %-16lld %-14.3f %-14.5f %s\n", n,
                 static_cast<long long>(pairs), brute_ms, fast_ms,
                 (brute_k == fast_k &&
-                 2 * brute_f == TwiceFHausdorff(sigma, tau))
+                 2 * brute_f == ref::TwiceFHausdorffTheorem5(sigma, tau))
                     ? "yes"
                     : "NO <-- MISMATCH");
     (void)fast_f;
@@ -67,17 +68,17 @@ void Scaling() {
     for (int r = 0; r < reps; ++r) KHausdorff(sigma, tau);
     const double prop6 = w1.Millis() / reps;
     Stopwatch w2;
-    for (int r = 0; r < reps; ++r) KHausdorffTheorem5(sigma, tau);
+    for (int r = 0; r < reps; ++r) ref::KHausdorffTheorem5(sigma, tau);
     const double thm5k = w2.Millis() / reps;
     Stopwatch w3;
-    for (int r = 0; r < reps; ++r) TwiceFHausdorff(sigma, tau);
+    for (int r = 0; r < reps; ++r) ref::TwiceFHausdorffTheorem5(sigma, tau);
     const double thm5f = w3.Millis() / reps;
-    const PreparedRanking ps(sigma);
-    const PreparedRanking pt(tau);
     PairScratch scratch;
-    std::int64_t sink = TwiceFHausdorff(ps, pt, scratch);  // warm scratch
+    std::int64_t sink = TwiceFHausdorff(sigma, tau, scratch);  // warm scratch
     Stopwatch w4;
-    for (int r = 0; r < reps; ++r) sink += TwiceFHausdorff(ps, pt, scratch);
+    for (int r = 0; r < reps; ++r) {
+      sink += TwiceFHausdorff(sigma, tau, scratch);
+    }
     (void)sink;
     const double prepared_f = w4.Millis() / reps;
     std::printf("%-8zu %-16.3f %-16.3f %-16.3f %-18.4f\n", n, prop6, thm5k,
@@ -127,9 +128,6 @@ int RunJsonMode() {
         MakeTiedLists(c.m, c.n, 9000 * c.m + c.n);
     const std::size_t pairs = c.m * (c.m - 1) / 2;
 
-    std::vector<PreparedRanking> prepared;
-    prepared.reserve(c.m);
-    for (const BucketOrder& order : lists) prepared.emplace_back(order);
     PairScratch scratch;
 
     // Checksums double as the bit-identity verification: the doubled FHaus
@@ -144,7 +142,7 @@ int RunJsonMode() {
       std::int64_t legacy_sum = 0;
       for (std::size_t i = 0; i < c.m; ++i) {
         for (std::size_t j = i + 1; j < c.m; ++j) {
-          legacy_sum += TwiceFHausdorff(lists[i], lists[j]);
+          legacy_sum += ref::TwiceFHausdorffTheorem5(lists[i], lists[j]);
         }
       }
       const double legacy_rep = legacy_watch.Seconds();
@@ -153,7 +151,7 @@ int RunJsonMode() {
       std::int64_t prepared_sum = 0;
       for (std::size_t i = 0; i < c.m; ++i) {
         for (std::size_t j = i + 1; j < c.m; ++j) {
-          prepared_sum += TwiceFHausdorff(prepared[i], prepared[j], scratch);
+          prepared_sum += TwiceFHausdorff(lists[i], lists[j], scratch);
         }
       }
       const double prepared_rep = prepared_watch.Seconds();
@@ -167,8 +165,8 @@ int RunJsonMode() {
     // One explicit per-pair cross-check outside the timed region.
     for (std::size_t i = 0; match && i < c.m; ++i) {
       for (std::size_t j = i + 1; match && j < c.m; ++j) {
-        match = TwiceFHausdorff(lists[i], lists[j]) ==
-                TwiceFHausdorff(prepared[i], prepared[j], scratch);
+        match = ref::TwiceFHausdorffTheorem5(lists[i], lists[j]) ==
+                TwiceFHausdorff(lists[i], lists[j], scratch);
       }
     }
     all_match = all_match && match;

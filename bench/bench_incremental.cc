@@ -92,7 +92,7 @@ double RunEditScript(IncrementalDistanceMatrix* engine, std::uint64_t seed) {
   for (int step = 0; step < kUpdates; ++step) {
     const auto list = static_cast<std::size_t>(rng.UniformInt(0, m - 1));
     const auto e = static_cast<ElementId>(rng.UniformInt(0, n - 1));
-    const PreparedRanking& ranking = engine->List(list);
+    const BucketOrder& ranking = engine->List(list);
     const auto buckets =
         static_cast<std::int64_t>(ranking.num_buckets());
     const auto source = static_cast<std::int64_t>(
@@ -144,7 +144,7 @@ MatrixCaseResult RunMatrixCase(MetricKind kind) {
   std::vector<BucketOrder> mutated;
   mutated.reserve(kLists);
   for (std::size_t i = 0; i < kLists; ++i) {
-    mutated.push_back(engine->List(i).ToBucketOrder());
+    mutated.push_back(engine->List(i));
   }
   result.match_full = SameMatrix(engine->Matrix(),
                                  DistanceMatrix(kind, mutated));

@@ -21,6 +21,7 @@
 #include "core/profile_metrics.h"
 #include "gen/mallows.h"
 #include "gen/random_orders.h"
+#include "ref/per_pair.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -68,7 +69,7 @@ void BM_KHausTheorem5(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const auto [sigma, tau] = MakePair(n, 4);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(KHausdorffTheorem5(sigma, tau));
+    benchmark::DoNotOptimize(ref::KHausdorffTheorem5(sigma, tau));
   }
 }
 BENCHMARK(BM_KHausTheorem5)->RangeMultiplier(4)->Range(64, 16384);

@@ -2,9 +2,9 @@
 // micro benchmarks of the pairwise kernels plus a `--json` mode for the CI
 // bench-regression gate.
 //
-// `bench_pairwise --json` times DistanceMatrixUnprepared (hash-map + sort +
-// fresh Fenwick per pair) against the prepared engine (freeze once, tiled
-// all-pairs sweep with per-thread PairScratch) at threads=1 on the same
+// `bench_pairwise --json` times ref::DistanceMatrixUnprepared (hash-map +
+// sort + fresh Fenwick per pair) against the kernel engine (tiled all-pairs
+// sweep with per-lane PairScratch) at threads=1 on the same
 // inputs, verifies the matrices are bit-identical, and emits
 // rankties-bench-v2 JSON. The gate enforces a minimum speedup on the
 // gate-eligible records (m >= 64, n >= 1000, tied inputs). Running at one
@@ -24,6 +24,7 @@
 #include "gen/mallows.h"
 #include "gen/random_orders.h"
 #include "obs/obs.h"
+#include "ref/per_pair.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -41,7 +42,7 @@ void BM_PairCountsLegacy(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const auto [sigma, tau] = MakePair(n, 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ComputePairCounts(sigma, tau));
+    benchmark::DoNotOptimize(ref::ComputePairCounts(sigma, tau));
   }
 }
 BENCHMARK(BM_PairCountsLegacy)->RangeMultiplier(4)->Range(64, 16384);
@@ -49,11 +50,9 @@ BENCHMARK(BM_PairCountsLegacy)->RangeMultiplier(4)->Range(64, 16384);
 void BM_PairCountsPrepared(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const auto [sigma, tau] = MakePair(n, 1);
-  const PreparedRanking ps(sigma);
-  const PreparedRanking pt(tau);
   PairScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ComputePairCounts(ps, pt, scratch));
+    benchmark::DoNotOptimize(ComputePairCounts(sigma, tau, scratch));
   }
 }
 BENCHMARK(BM_PairCountsPrepared)->RangeMultiplier(4)->Range(64, 16384);
@@ -61,23 +60,12 @@ BENCHMARK(BM_PairCountsPrepared)->RangeMultiplier(4)->Range(64, 16384);
 void BM_KprofPrepared(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const auto [sigma, tau] = MakePair(n, 2);
-  const PreparedRanking ps(sigma);
-  const PreparedRanking pt(tau);
   PairScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(TwiceKprof(ps, pt, scratch));
+    benchmark::DoNotOptimize(TwiceKprof(sigma, tau, scratch));
   }
 }
 BENCHMARK(BM_KprofPrepared)->RangeMultiplier(4)->Range(64, 16384);
-
-void BM_PrepareRanking(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const auto [sigma, tau] = MakePair(n, 3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(PreparedRanking(sigma));
-  }
-}
-BENCHMARK(BM_PrepareRanking)->RangeMultiplier(4)->Range(64, 16384);
 
 // ---------------------------------------------------------------------------
 // --json mode: legacy vs prepared DistanceMatrix for the CI speedup gate.
@@ -154,7 +142,7 @@ int RunJsonMode() {
 
     std::vector<std::vector<double>> legacy;
     const double legacy_seconds = TimeBestOf(
-        c.reps, [&] { return DistanceMatrixUnprepared(c.kind, lists); },
+        c.reps, [&] { return ref::DistanceMatrixUnprepared(c.kind, lists); },
         &legacy);
     std::vector<std::vector<double>> prepared;
     const double prepared_seconds = TimeBestOf(
@@ -185,8 +173,8 @@ int RunJsonMode() {
   }
   ThreadPool::SetGlobalThreads(0);  // restore the default pool
 
-  // One instrumented pass so the document carries the prepared engine's
-  // counters (batch.prepare_ns, batch.tiles, prepared.scratch_reuse_hits).
+  // One instrumented pass so the document carries the kernel engine's
+  // counters (batch.shard_ns, batch.tiles, prepared.scratch_reuse_hits).
   obs::Registry::Global().ResetAll();
   obs::SetEnabled(true);
   {

@@ -27,3 +27,11 @@ execute_process(COMMAND ${RANK_TOOL} dist /nonexistent RESULT_VARIABLE rc
 if(rc EQUAL 0)
   message(FATAL_ERROR "dist on missing file should fail")
 endif()
+# Bad integer arguments exit 1 with a message; they never abort.
+foreach(args "gen;-1;2" "gen;10;x" "agg;${WORK_DIR}/voters.txt;-5")
+  execute_process(COMMAND ${RANK_TOOL} ${args} RESULT_VARIABLE rc
+                  ERROR_VARIABLE err OUTPUT_QUIET)
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "rank_tool: ")
+    message(FATAL_ERROR "'${args}' should exit 1 with a message: ${rc} ${err}")
+  endif()
+endforeach()

@@ -39,9 +39,13 @@
 //   rank_tool dist voters.txt
 //   rank_tool agg voters.txt 3
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -54,6 +58,15 @@ namespace {
 int Fail(const std::string& message) {
   std::fprintf(stderr, "rank_tool: %s\n", message.c_str());
   return 1;
+}
+
+// A decimal integer spanning the whole token and at least `min`.
+std::optional<long long> ParseIntArg(const char* text, long long min) {
+  long long value = 0;
+  const char* end = text + std::strlen(text);
+  const auto [stop, error] = std::from_chars(text, end, value);
+  if (error != std::errc() || stop != end || value < min) return std::nullopt;
+  return value;
 }
 
 StatusOr<std::vector<BucketOrder>> LoadOrders(const std::string& path) {
@@ -129,13 +142,18 @@ int CmdAgg(const std::string& path, int k) {
 
 int CmdGen(int argc, char** argv) {
   if (argc < 4) return Fail("gen needs <n> <m>");
-  const std::size_t n = static_cast<std::size_t>(std::atoi(argv[2]));
-  const std::size_t m = static_cast<std::size_t>(std::atoi(argv[3]));
-  if (n == 0 || m == 0) return Fail("n and m must be positive");
+  const std::optional<long long> n_arg = ParseIntArg(argv[2], 1);
+  const std::optional<long long> m_arg = ParseIntArg(argv[3], 1);
+  const std::optional<long long> t_arg =
+      argc > 5 ? ParseIntArg(argv[5], 1)
+               : std::max(2LL, n_arg.value_or(0) / 4);
+  if (!n_arg || !m_arg || !t_arg) {
+    return Fail("n, m and t must be integers >= 1");
+  }
+  const std::size_t n = static_cast<std::size_t>(*n_arg);
+  const std::size_t m = static_cast<std::size_t>(*m_arg);
+  const std::size_t t = static_cast<std::size_t>(*t_arg);
   const double phi = argc > 4 ? std::atof(argv[4]) : 0.0;
-  const std::size_t t = argc > 5
-                            ? static_cast<std::size_t>(std::atoi(argv[5]))
-                            : std::max<std::size_t>(2, n / 4);
   Rng rng(static_cast<std::uint64_t>(n * 1000003 + m));
   const Permutation center = Permutation::Random(n, rng);
   std::vector<BucketOrder> orders;
@@ -231,7 +249,12 @@ int Dispatch(int argc, char** argv) {
   }
   if (cmd == "agg") {
     if (argc < 3) return Fail("agg needs a file");
-    return CmdAgg(argv[2], argc > 3 ? std::atoi(argv[3]) : 0);
+    const std::optional<long long> k =
+        argc > 3 ? ParseIntArg(argv[3], 0) : std::optional<long long>(0);
+    if (!k || *k > std::numeric_limits<int>::max()) {
+      return Fail("k must be an integer >= 0");
+    }
+    return CmdAgg(argv[2], static_cast<int>(*k));
   }
   if (cmd == "gen") {
     return CmdGen(argc, argv);

@@ -10,7 +10,7 @@ BucketOrderSource::BucketOrderSource(const BucketOrder& order)
 
 std::optional<SortedAccess> BucketOrderSource::Next() {
   if (bucket_ >= order_.num_buckets()) return std::nullopt;
-  const std::vector<ElementId>& bucket = order_.bucket(bucket_);
+  const std::span<const ElementId> bucket = order_.bucket(bucket_);
   RANKTIES_BOUNDS(offset_, bucket.size());
   SortedAccess access{bucket[offset_], order_.TwicePositionOfBucket(bucket_)};
   ++offset_;

@@ -9,14 +9,11 @@ namespace rankties {
 
 std::int64_t AccessDepth(const BucketOrder& order, ElementId e) {
   const std::size_t b = static_cast<std::size_t>(order.BucketOf(e));
-  std::int64_t before = 0;
-  for (std::size_t i = 0; i < b; ++i) {
-    before += static_cast<std::int64_t>(order.bucket(i).size());
-  }
-  const std::vector<ElementId>& bucket = order.bucket(b);
+  const std::span<const ElementId> bucket = order.bucket(b);
   const auto it = std::lower_bound(bucket.begin(), bucket.end(), e);
   RANKTIES_DCHECK(it != bucket.end() && *it == e);
-  return before + (it - bucket.begin()) + 1;
+  return static_cast<std::int64_t>(order.bucket_offset()[b]) +
+         (it - bucket.begin()) + 1;
 }
 
 std::int64_t CertificateLowerBound(const std::vector<BucketOrder>& inputs,

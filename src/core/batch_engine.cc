@@ -30,59 +30,8 @@ obs::Histogram* ShardTimeHistogram() {
   return histogram;
 }
 
-// Wall time of the prepare-once pass (all inputs of one batch call).
-obs::Histogram* PrepareTimeHistogram() {
-  static obs::Histogram* const histogram =
-      obs::GetHistogram("batch.prepare_ns");
-  return histogram;
-}
-
-// One scratch per pool thread, reused across tiles, batch calls, and metric
-// kinds: after the first few evaluations grow it to the workload's
-// high-water mark, every later kernel call is allocation-free.
-PairScratch& ThreadScratch() {
-  static thread_local PairScratch scratch;
-  return scratch;
-}
-
-// Freezes every input once (O(m*n) total, parallel over inputs).
-std::vector<PreparedRanking> PrepareAll(
-    const std::vector<BucketOrder>& lists) {
-  obs::ScopedHistogramTimer prepare_timer(PrepareTimeHistogram());
-  std::vector<PreparedRanking> prepared(lists.size());
-  ParallelFor(0, lists.size(), AutoGrain(lists.size()),
-              [&](std::size_t lo, std::size_t hi) {
-                for (std::size_t i = lo; i < hi; ++i) {
-                  prepared[i] = PreparedRanking(lists[i]);
-                }
-              });
-  return prepared;
-}
-
-// One metric evaluation on prepared inputs; every kind — FHaus included,
-// via the joint-bucket-run decomposition of Theorem 5 — runs on the frozen
-// arrays and never touches the heap on a warm scratch. Argument order
-// matches the legacy ComputeMetric call sites exactly, keeping results
-// bit-identical by construction.
-double EvalPrepared(MetricKind kind, const PreparedRanking& prepared_sigma,
-                    const PreparedRanking& prepared_tau,
-                    PairScratch& scratch) {
-  switch (kind) {
-    case MetricKind::kKprof:
-      return Kprof(prepared_sigma, prepared_tau, scratch);
-    case MetricKind::kFprof:
-      return Fprof(prepared_sigma, prepared_tau);
-    case MetricKind::kKHaus:
-      return static_cast<double>(
-          KHausdorff(prepared_sigma, prepared_tau, scratch));
-    case MetricKind::kFHaus:
-      return FHausdorff(prepared_sigma, prepared_tau, scratch);
-  }
-  return 0.0;  // unreachable; keeps -Wreturn-type quiet
-}
-
 // Tile edge for the triangular tiling of DistanceMatrix. A TxT tile reads
-// at most 2T preparations, so T = 32 keeps the per-lane working set a few
+// at most 2T rankings, so T = 32 keeps the per-lane working set a few
 // hundred KiB even at n ~ 10^4; shrink T while the tile count undercuts
 // ~4 tiles per lane so small matrices still spread across the pool. Tile
 // shape never affects values (each slot is computed independently), only
@@ -104,6 +53,11 @@ std::size_t TileSizeFor(std::size_t m) {
 
 }  // namespace
 
+PairScratch& LaneScratch() {
+  static thread_local PairScratch scratch;
+  return scratch;
+}
+
 std::vector<std::vector<double>> DistanceMatrix(
     MetricKind kind, const std::vector<BucketOrder>& lists) {
   const std::size_t m = lists.size();
@@ -113,8 +67,6 @@ std::vector<std::vector<double>> DistanceMatrix(
   const std::int64_t pairs = CheckedChoose2(CheckedInt64(m));
   obs::FlightSpan span(obs::FlightEventId::kBatchMatrix);
   RANKTIES_OBS_COUNT("batch.metric_evals", pairs);
-
-  const std::vector<PreparedRanking> prepared = PrepareAll(lists);
 
   // Triangular tiles (a, b), a <= b, over tile rows of edge `tile`; tile
   // (a, a) covers its within-block upper triangle. Every upper-triangle
@@ -134,7 +86,7 @@ std::vector<std::vector<double>> DistanceMatrix(
 
   ParallelFor(0, tiles, 1, [&](std::size_t lo, std::size_t hi) {
     obs::ScopedHistogramTimer shard_timer(ShardTimeHistogram());
-    PairScratch& scratch = ThreadScratch();
+    PairScratch& scratch = LaneScratch();
     // Locate the tile row of the first tile in the chunk, then walk.
     std::size_t a =
         static_cast<std::size_t>(std::upper_bound(tile_offset.begin(),
@@ -155,49 +107,11 @@ std::vector<std::vector<double>> DistanceMatrix(
       RANKTIES_DCHECK(j_begin < m);
       for (std::size_t i = a * tile; i < i_end; ++i) {
         for (std::size_t j = std::max(j_begin, i + 1); j < j_end; ++j) {
-          const double d =
-              EvalPrepared(kind, prepared[i], prepared[j], scratch);
+          const double d = ComputeMetric(kind, lists[i], lists[j], scratch);
           matrix[i][j] = d;
           matrix[j][i] = d;
         }
       }
-    }
-  });
-  return matrix;
-}
-
-std::vector<std::vector<double>> DistanceMatrixUnprepared(
-    MetricKind kind, const std::vector<BucketOrder>& lists) {
-  const std::size_t m = lists.size();
-  std::vector<std::vector<double>> matrix(m, std::vector<double>(m, 0.0));
-  if (m < 2) return matrix;
-
-  // Upper-triangle pairs (i, j), i < j, flattened row-major: row i starts at
-  // offset[i] and holds m-1-i pairs.
-  std::vector<std::size_t> offset(m + 1, 0);
-  for (std::size_t i = 0; i < m; ++i) {
-    offset[i + 1] = offset[i] + (m - 1 - i);
-  }
-  const std::size_t pairs = offset[m];
-  obs::FlightSpan span(obs::FlightEventId::kBatchMatrixUnprepared);
-  span.SetArgs(static_cast<std::int64_t>(m),
-               static_cast<std::int64_t>(pairs));
-  RANKTIES_OBS_COUNT("batch.metric_evals",
-                     static_cast<std::int64_t>(pairs));
-  ParallelFor(0, pairs, AutoGrain(pairs), [&](std::size_t lo, std::size_t hi) {
-    obs::ScopedHistogramTimer shard_timer(ShardTimeHistogram());
-    // Locate the row of the first pair in the chunk, then walk forward.
-    std::size_t i = static_cast<std::size_t>(
-                        std::upper_bound(offset.begin(), offset.end(), lo) -
-                        offset.begin()) -
-                    1;
-    for (std::size_t t = lo; t < hi; ++t) {
-      while (t >= offset[i + 1]) ++i;
-      const std::size_t j = i + 1 + (t - offset[i]);
-      RANKTIES_DCHECK(i < j && j < m);
-      const double d = ComputeMetric(kind, lists[i], lists[j]);
-      matrix[i][j] = d;
-      matrix[j][i] = d;
     }
   });
   return matrix;
@@ -212,15 +126,13 @@ std::vector<double> DistancesToAll(MetricKind kind,
   span.SetArgs(static_cast<std::int64_t>(lists.size()));
   RANKTIES_OBS_COUNT("batch.metric_evals",
                      static_cast<std::int64_t>(lists.size()));
-  const PreparedRanking prepared_candidate(candidate);
-  const std::vector<PreparedRanking> prepared = PrepareAll(lists);
   ParallelFor(0, lists.size(), AutoGrain(lists.size()),
               [&](std::size_t lo, std::size_t hi) {
                 obs::ScopedHistogramTimer shard_timer(ShardTimeHistogram());
-                PairScratch& scratch = ThreadScratch();
+                PairScratch& scratch = LaneScratch();
                 for (std::size_t j = lo; j < hi; ++j) {
-                  distances[j] = EvalPrepared(kind, prepared_candidate,
-                                              prepared[j], scratch);
+                  distances[j] =
+                      ComputeMetric(kind, candidate, lists[j], scratch);
                 }
               });
   return distances;
@@ -251,18 +163,13 @@ StatusOr<BestCandidateResult> BestOfCandidates(
   obs::FlightSpan span(obs::FlightEventId::kBatchBestOf);
   span.SetArgs(static_cast<std::int64_t>(c), static_cast<std::int64_t>(l));
   RANKTIES_OBS_COUNT("batch.metric_evals", static_cast<std::int64_t>(c * l));
-  const std::vector<PreparedRanking> prepared_candidates =
-      PrepareAll(candidates);
-  const std::vector<PreparedRanking> prepared_lists = PrepareAll(lists);
   ParallelFor(0, c * l, AutoGrain(c * l),
               [&](std::size_t lo, std::size_t hi) {
                 obs::ScopedHistogramTimer shard_timer(ShardTimeHistogram());
-                PairScratch& scratch = ThreadScratch();
+                PairScratch& scratch = LaneScratch();
                 for (std::size_t t = lo; t < hi; ++t) {
-                  const std::size_t ci = t / l;
-                  const std::size_t j = t % l;
-                  grid[t] = EvalPrepared(kind, prepared_candidates[ci],
-                                         prepared_lists[j], scratch);
+                  grid[t] = ComputeMetric(kind, candidates[t / l],
+                                          lists[t % l], scratch);
                 }
               });
 
@@ -332,18 +239,13 @@ StatusOr<IncrementalDistanceMatrix> IncrementalDistanceMatrix::Create(
           "IncrementalDistanceMatrix needs equal universe sizes");
     }
   }
-  std::vector<PreparedRanking> prepared;
-  prepared.reserve(lists.size());
-  for (const BucketOrder& order : lists) {
-    prepared.emplace_back(order);
-  }
-  return IncrementalDistanceMatrix(kind, std::move(prepared));
+  return IncrementalDistanceMatrix(kind, lists);
 }
 
 IncrementalDistanceMatrix::IncrementalDistanceMatrix(
-    MetricKind kind, std::vector<PreparedRanking> prepared)
-    : kind_(kind), prepared_(std::move(prepared)) {
-  const std::size_t m = prepared_.size();
+    MetricKind kind, std::vector<BucketOrder> lists)
+    : kind_(kind), lists_(std::move(lists)) {
+  const std::size_t m = lists_.size();
   matrix_.assign(m, std::vector<double>(m, 0.0));
   if (UsesPairCounts()) {
     counts_.assign(m, std::vector<PairCounts>(m));
@@ -352,20 +254,7 @@ IncrementalDistanceMatrix::IncrementalDistanceMatrix(
   // construction follows the same single-writer discipline (and the upper
   // triangle is computed once and mirrored, like DistanceMatrix).
   for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = i + 1; j < m; ++j) {
-      double value;
-      if (UsesPairCounts()) {
-        const PairCounts counts =
-            ComputePairCounts(prepared_[i], prepared_[j], scratch_);
-        counts_[i][j] = counts;
-        counts_[j][i] = Mirrored(counts);
-        value = ValueFromCounts(counts);
-      } else {
-        value = EvalPrepared(kind_, prepared_[i], prepared_[j], scratch_);
-      }
-      matrix_[i][j] = value;
-      matrix_[j][i] = value;
-    }
+    for (std::size_t j = i + 1; j < m; ++j) EvaluatePair(i, j);
   }
 }
 
@@ -375,8 +264,8 @@ bool IncrementalDistanceMatrix::UsesPairCounts() const {
 
 double IncrementalDistanceMatrix::ValueFromCounts(
     const PairCounts& counts) const {
-  // Same post-processing expressions as the legacy metrics (Kprof and
-  // KHausdorff both reduce their exact integer counts this way), so the
+  // Same post-processing expressions as the kernels (Kprof and KHausdorff
+  // both reduce their exact integer counts this way), so the
   // delta-maintained values are bit-identical to a full recompute.
   if (kind_ == MetricKind::kKprof) {
     return static_cast<double>(TwiceKprofFromCounts(counts)) / 2.0;
@@ -385,22 +274,24 @@ double IncrementalDistanceMatrix::ValueFromCounts(
   return static_cast<double>(KHausdorffFromCounts(counts));
 }
 
+void IncrementalDistanceMatrix::EvaluatePair(std::size_t i, std::size_t j) {
+  double value;
+  if (UsesPairCounts()) {
+    const PairCounts counts = ComputePairCounts(lists_[i], lists_[j], scratch_);
+    counts_[i][j] = counts;
+    counts_[j][i] = Mirrored(counts);
+    value = ValueFromCounts(counts);
+  } else {
+    value = ComputeMetric(kind_, lists_[i], lists_[j], scratch_);
+  }
+  matrix_[i][j] = value;
+  matrix_[j][i] = value;
+}
+
 void IncrementalDistanceMatrix::RefreshRow(std::size_t list) {
-  const std::size_t m = prepared_.size();
+  const std::size_t m = lists_.size();
   for (std::size_t j = 0; j < m; ++j) {
-    if (j == list) continue;
-    double value;
-    if (UsesPairCounts()) {
-      const PairCounts counts =
-          ComputePairCounts(prepared_[list], prepared_[j], scratch_);
-      counts_[list][j] = counts;
-      counts_[j][list] = Mirrored(counts);
-      value = ValueFromCounts(counts);
-    } else {
-      value = EvalPrepared(kind_, prepared_[list], prepared_[j], scratch_);
-    }
-    matrix_[list][j] = value;
-    matrix_[j][list] = value;
+    if (j != list) EvaluatePair(list, j);
   }
   pairs_reevaluated_ += static_cast<std::int64_t>(m) - 1;
   RANKTIES_OBS_COUNT("incremental.rows_refreshed", 1);
@@ -410,11 +301,11 @@ void IncrementalDistanceMatrix::RefreshRow(std::size_t list) {
 
 void IncrementalDistanceMatrix::ApplyCountDeltas(
     std::size_t list, const std::vector<RelChange>& affected) {
-  const std::size_t m = prepared_.size();
+  const std::size_t m = lists_.size();
   std::int64_t cells_touched = 0;
   for (std::size_t j = 0; j < m; ++j) {
     if (j == list) continue;
-    const std::vector<BucketIndex>& tau_of = prepared_[j].bucket_of();
+    const std::vector<BucketIndex>& tau_of = lists_[j].bucket_of();
     PairCounts& row_counts = counts_[list][j];
     PairCounts& mirror_counts = counts_[j][list];
     for (const RelChange& change : affected) {
@@ -442,10 +333,10 @@ void IncrementalDistanceMatrix::ApplyCountDeltas(
 
 Status IncrementalDistanceMatrix::MoveToBucket(std::size_t list, ElementId e,
                                                std::size_t target_bucket) {
-  if (list >= prepared_.size()) {
+  if (list >= lists_.size()) {
     return Status::InvalidArgument("list index out of range");
   }
-  PreparedRanking& ranking = prepared_[list];
+  BucketOrder& ranking = lists_[list];
   if (e < 0 || static_cast<std::size_t>(e) >= ranking.n()) {
     return Status::InvalidArgument("element out of range");
   }
@@ -457,39 +348,25 @@ Status IncrementalDistanceMatrix::MoveToBucket(std::size_t list, ElementId e,
   // A no-op edit costs nothing on either maintenance path (the
   // pairs-reevaluated accounting would otherwise depend on the metric).
   if (source == target_bucket) return Status::Ok();
-  if (!UsesPairCounts()) {
-    Status moved = ranking.MoveToBucket(e, target_bucket);
-    if (!moved.ok()) return moved;
-    RefreshRow(list);
-    RANKTIES_FLIGHT(obs::FlightEventId::kIncrementalMove,
-                    static_cast<std::int64_t>(list),
-                    static_cast<std::int64_t>(e),
-                    static_cast<std::int64_t>(prepared_.size()) - 1);
-    return Status::Ok();
-  }
   // Snapshot the relations that can change — pairs (e, x) with x in the
   // bucket span [min(src, dst), max(src, dst)] — before the edit.
-  const std::size_t lo = std::min(source, target_bucket);
-  const std::size_t hi = std::max(source, target_bucket);
-  CaptureAffected(ranking, e, lo, hi);
+  if (UsesPairCounts()) {
+    CaptureAffected(ranking, e, std::min(source, target_bucket),
+                    std::max(source, target_bucket));
+  }
   Status moved = ranking.MoveToBucket(e, target_bucket);
   if (!moved.ok()) return moved;
-  FinishAffected(ranking, e);
-  ApplyCountDeltas(list, affected_scratch_);
-  RANKTIES_FLIGHT(obs::FlightEventId::kIncrementalMove,
-                  static_cast<std::int64_t>(list),
-                  static_cast<std::int64_t>(e),
-                  static_cast<std::int64_t>(prepared_.size()) - 1);
+  FinishMove(list, e);
   return Status::Ok();
 }
 
 Status IncrementalDistanceMatrix::MoveToNewBucket(std::size_t list,
                                                   ElementId e,
                                                   std::size_t before_bucket) {
-  if (list >= prepared_.size()) {
+  if (list >= lists_.size()) {
     return Status::InvalidArgument("list index out of range");
   }
-  PreparedRanking& ranking = prepared_[list];
+  BucketOrder& ranking = lists_[list];
   if (e < 0 || static_cast<std::size_t>(e) >= ranking.n()) {
     return Status::InvalidArgument("element out of range");
   }
@@ -505,33 +382,32 @@ Status IncrementalDistanceMatrix::MoveToNewBucket(std::size_t list,
       (before_bucket == source || before_bucket == source + 1)) {
     return Status::Ok();
   }
-  if (!UsesPairCounts()) {
-    Status moved = ranking.MoveToNewBucket(e, before_bucket);
-    if (!moved.ok()) return moved;
-    RefreshRow(list);
-    RANKTIES_FLIGHT(obs::FlightEventId::kIncrementalMove,
-                    static_cast<std::int64_t>(list),
-                    static_cast<std::int64_t>(e),
-                    static_cast<std::int64_t>(prepared_.size()) - 1);
-    return Status::Ok();
-  }
   // Relations change only against elements e crosses: buckets [pos, src]
   // when moving ahead, (src, pos) when moving behind.
-  const std::size_t lo = std::min(source, before_bucket);
-  const std::size_t hi = before_bucket > source ? before_bucket - 1 : source;
-  CaptureAffected(ranking, e, lo, hi);
+  if (UsesPairCounts()) {
+    CaptureAffected(ranking, e, std::min(source, before_bucket),
+                    before_bucket > source ? before_bucket - 1 : source);
+  }
   Status moved = ranking.MoveToNewBucket(e, before_bucket);
   if (!moved.ok()) return moved;
-  FinishAffected(ranking, e);
-  ApplyCountDeltas(list, affected_scratch_);
-  RANKTIES_FLIGHT(obs::FlightEventId::kIncrementalMove,
-                  static_cast<std::int64_t>(list),
-                  static_cast<std::int64_t>(e),
-                  static_cast<std::int64_t>(prepared_.size()) - 1);
+  FinishMove(list, e);
   return Status::Ok();
 }
 
-void IncrementalDistanceMatrix::CaptureAffected(const PreparedRanking& ranking,
+void IncrementalDistanceMatrix::FinishMove(std::size_t list, ElementId e) {
+  if (UsesPairCounts()) {
+    FinishAffected(lists_[list], e);
+    ApplyCountDeltas(list, affected_scratch_);
+  } else {
+    RefreshRow(list);
+  }
+  RANKTIES_FLIGHT(obs::FlightEventId::kIncrementalMove,
+                  static_cast<std::int64_t>(list),
+                  static_cast<std::int64_t>(e),
+                  static_cast<std::int64_t>(lists_.size()) - 1);
+}
+
+void IncrementalDistanceMatrix::CaptureAffected(const BucketOrder& ranking,
                                                 ElementId e, std::size_t lo,
                                                 std::size_t hi) {
   affected_scratch_.clear();
@@ -546,8 +422,8 @@ void IncrementalDistanceMatrix::CaptureAffected(const PreparedRanking& ranking,
   }
 }
 
-void IncrementalDistanceMatrix::FinishAffected(
-    const PreparedRanking& ranking, ElementId e) {
+void IncrementalDistanceMatrix::FinishAffected(const BucketOrder& ranking,
+                                               ElementId e) {
   // Bucket indices may have shifted (a collapsed source bucket renumbers
   // the suffix) but shifts apply to both sides of every comparison, so the
   // post-edit bucket_of still yields the correct relation signs.
@@ -559,18 +435,18 @@ void IncrementalDistanceMatrix::FinishAffected(
 
 Status IncrementalDistanceMatrix::ReplaceList(std::size_t list,
                                               const BucketOrder& order) {
-  if (list >= prepared_.size()) {
+  if (list >= lists_.size()) {
     return Status::InvalidArgument("list index out of range");
   }
   if (order.n() != n()) {
     return Status::InvalidArgument(
         "ReplaceList needs the corpus universe size");
   }
-  prepared_[list] = PreparedRanking(order);
+  lists_[list] = order;
   RefreshRow(list);
   RANKTIES_FLIGHT(obs::FlightEventId::kIncrementalReplace,
                   static_cast<std::int64_t>(list),
-                  static_cast<std::int64_t>(prepared_.size()) - 1);
+                  static_cast<std::int64_t>(lists_.size()) - 1);
   return Status::Ok();
 }
 

@@ -16,35 +16,33 @@ namespace rankties {
 /// Batch metric evaluation over many rankings at once, parallelized on the
 /// global ThreadPool (util/thread_pool.h).
 ///
-/// Prepared engine: every batch entry point freezes its inputs once into
-/// PreparedRankings (core/prepared.h) — O(m*n) total — and then runs the
-/// zero-allocation prepared kernels with one reusable PairScratch per pool
-/// thread, instead of paying the legacy per-pair hash-map/sort/Fenwick heap
-/// traffic O(m^2) times. All four metrics run prepared, FHaus included: its
-/// prepared kernel walks joint bucket runs instead of building the Theorem
-/// 5 refinements.
+/// Every entry point reads its input rankings in place — a BucketOrder is
+/// already the flat form the kernels need (core/prepared.h) — and runs the
+/// zero-allocation kernels through ComputeMetric with the pool lane's own
+/// PairScratch (LaneScratch), so no batch call copies or re-derives its
+/// inputs and a warm lane never touches the heap per pair. All four metrics
+/// run on the kernels, FHaus included: its kernel walks joint bucket runs
+/// instead of building the Theorem 5 refinements.
 ///
 /// Determinism guarantee: every function here returns results bit-identical
 /// to the corresponding serial ComputeMetric loop, for every thread count.
-/// The prepared kernels are integer-exact and share their post-processing
-/// with the legacy path, parallel tasks only compute independent
+/// The kernels are integer-exact, parallel tasks only compute independent
 /// matrix/vector slots, and every floating-point reduction (totals, argmin)
 /// runs serially in index order on the calling thread. Thread count and
 /// tile shape therefore never change an answer — only how fast it arrives.
 
+/// The calling thread's PairScratch — one per pool lane, shared by every
+/// batch and out-of-core loop and kept across calls, so after the first
+/// few evaluations grow it to the workload's high-water mark every later
+/// kernel call is allocation-free.
+PairScratch& LaneScratch();
+
 /// The m x m matrix D with D[i][j] = ComputeMetric(kind, lists[i],
 /// lists[j]). Symmetric with a zero diagonal; each upper-triangle entry is
 /// computed once and mirrored. Work is scheduled as cache-sized triangular
-/// tiles over the prepared inputs, so a pool lane keeps a small working set
-/// of preparations hot while the tile count still load-balances the pool.
+/// tiles over the inputs, so a pool lane keeps a small working set of
+/// rankings hot while the tile count still load-balances the pool.
 std::vector<std::vector<double>> DistanceMatrix(
-    MetricKind kind, const std::vector<BucketOrder>& lists);
-
-/// The same matrix via the legacy per-pair ComputeMetric path (no
-/// preparation, per-pair allocations). Kept callable as the differential
-/// oracle for the prepared engine (tests/fuzz) and as the bench_pairwise
-/// baseline. Same determinism guarantee.
-std::vector<std::vector<double>> DistanceMatrixUnprepared(
     MetricKind kind, const std::vector<BucketOrder>& lists);
 
 /// distances[j] = ComputeMetric(kind, candidate, lists[j]) — the inner loop
@@ -80,20 +78,20 @@ StatusOr<BestCandidateResult> BestOfCandidates(
 /// the PairCounts of every pair and applies O(affected-range) count deltas
 /// (only the joint-histogram cells involving the moved element change), so
 /// a move costs O(sum of affected bucket sizes * m) instead of the full
-/// O(m^2 * n log n) rebuild. Fprof/FHaus re-run their prepared kernels
+/// O(m^2 * n log n) rebuild. Fprof/FHaus re-run their kernels
 /// over the mutated row (O(m * n)).
 ///
 /// Determinism: every maintained value is bit-identical to a full
 /// recompute of the mutated corpus — the count deltas are exact integer
 /// updates funneled through the same FromCounts post-processing, and the
-/// row refreshes run the same prepared kernels as DistanceMatrix. The
+/// row refreshes run the same kernels as DistanceMatrix. The
 /// mutation-trace fuzz family asserts this after every edit step.
 ///
 /// Not thread-safe: one engine per writer (updates are serial by design so
 /// results cannot depend on interleaving).
 class IncrementalDistanceMatrix {
  public:
-  /// Builds the initial matrix (prepared kernels, serial). Fails when
+  /// Copies `lists` and builds the initial matrix (serial). Fails when
   /// `lists` is empty or the universe sizes disagree.
   static StatusOr<IncrementalDistanceMatrix> Create(
       MetricKind kind, const std::vector<BucketOrder>& lists);
@@ -102,9 +100,9 @@ class IncrementalDistanceMatrix {
   IncrementalDistanceMatrix& operator=(IncrementalDistanceMatrix&&) noexcept =
       default;
 
-  [[nodiscard]] std::size_t num_lists() const { return prepared_.size(); }
+  [[nodiscard]] std::size_t num_lists() const { return lists_.size(); }
   [[nodiscard]] std::size_t n() const {
-    return prepared_.empty() ? 0 : prepared_.front().n();
+    return lists_.empty() ? 0 : lists_.front().n();
   }
   [[nodiscard]] MetricKind kind() const { return kind_; }
 
@@ -114,9 +112,9 @@ class IncrementalDistanceMatrix {
     return matrix_;
   }
 
-  /// The live prepared form of list `i` (delta-maintained).
-  [[nodiscard]] const PreparedRanking& List(std::size_t i) const {
-    return prepared_[i];
+  /// The live list `i` (delta-maintained).
+  [[nodiscard]] const BucketOrder& List(std::size_t i) const {
+    return lists_[i];
   }
 
   /// Moves element `e` of list `list` into that list's existing bucket
@@ -126,7 +124,7 @@ class IncrementalDistanceMatrix {
                                     std::size_t target_bucket);
 
   /// Moves element `e` of list `list` into a new singleton bucket before
-  /// bucket `before_bucket` (see PreparedRanking::MoveToNewBucket).
+  /// bucket `before_bucket` (see BucketOrder::MoveToNewBucket).
   [[nodiscard]] Status MoveToNewBucket(std::size_t list, ElementId e,
                                        std::size_t before_bucket);
 
@@ -145,8 +143,7 @@ class IncrementalDistanceMatrix {
   }
 
  private:
-  IncrementalDistanceMatrix(MetricKind kind,
-                            std::vector<PreparedRanking> prepared);
+  IncrementalDistanceMatrix(MetricKind kind, std::vector<BucketOrder> lists);
 
   /// True when `kind_` derives from PairCounts and count-delta maintenance
   /// applies (Kprof, KHaus).
@@ -155,9 +152,17 @@ class IncrementalDistanceMatrix {
   /// Metric value of pair (i, j) from the stored counts (sigma = i side).
   [[nodiscard]] double ValueFromCounts(const PairCounts& counts) const;
 
-  /// Re-evaluates row `list` with the prepared kernels (and refreshes the
+  /// Evaluates pair (i, j) with the kernels into both matrix slots (and
+  /// both orientations of the stored counts for the pair-count kinds).
+  void EvaluatePair(std::size_t i, std::size_t j);
+
+  /// Re-evaluates row `list` with the kernels (and refreshes the
   /// stored counts for the pair-count kinds).
   void RefreshRow(std::size_t list);
+
+  /// Patches row/column `list` after element `e` moved: count deltas for
+  /// the pair-count kinds, a row refresh otherwise.
+  void FinishMove(std::size_t list, ElementId e);
 
   /// Applies the relation changes of pairs (e, x) to row `list`'s stored
   /// counts and values. `affected` holds (e, x, old_rel, new_rel) with rel
@@ -173,13 +178,13 @@ class IncrementalDistanceMatrix {
 
   /// Records old_rel for every pair (e, x) with x in buckets [lo, hi] of
   /// `ranking` into affected_scratch_ (called before the edit)...
-  void CaptureAffected(const PreparedRanking& ranking, ElementId e,
+  void CaptureAffected(const BucketOrder& ranking, ElementId e,
                        std::size_t lo, std::size_t hi);
   /// ...and fills in new_rel from the post-edit bucket assignment.
-  void FinishAffected(const PreparedRanking& ranking, ElementId e);
+  void FinishAffected(const BucketOrder& ranking, ElementId e);
 
   MetricKind kind_ = MetricKind::kKprof;
-  std::vector<PreparedRanking> prepared_;
+  std::vector<BucketOrder> lists_;  // the engine's own, edited copies
   std::vector<std::vector<double>> matrix_;
   /// counts_[i][j] classifies pairs with sigma = list i, tau = list j
   /// (mirror entries swap the one-sided tie counts). Only populated for

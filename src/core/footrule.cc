@@ -1,7 +1,9 @@
 #include "core/footrule.h"
-#include "util/contracts.h"
 
 #include <cstdlib>
+
+#include "util/contracts.h"
+#include "util/simd.h"
 
 namespace rankties {
 
@@ -22,12 +24,8 @@ std::int64_t MaxFootrule(std::size_t n) {
 
 std::int64_t TwiceFprof(const BucketOrder& sigma, const BucketOrder& tau) {
   RANKTIES_DCHECK(sigma.n() == tau.n());
-  std::int64_t total = 0;
-  for (std::size_t e = 0; e < sigma.n(); ++e) {
-    total += std::abs(sigma.TwicePosition(static_cast<ElementId>(e)) -
-                      tau.TwicePosition(static_cast<ElementId>(e)));
-  }
-  return total;
+  return simd::AbsDiffSumI64(sigma.twice_position().data(),
+                             tau.twice_position().data(), sigma.n());
 }
 
 double Fprof(const BucketOrder& sigma, const BucketOrder& tau) {

@@ -19,7 +19,9 @@ std::int64_t MaxFootrule(std::size_t n);
 
 /// Fprof (paper §3.1): the L1 distance between the position vectors of two
 /// partial rankings. Positions are half-integral, so the exact value is
-/// returned doubled: TwiceFprof = sum_i |2 sigma(i) - 2 tau(i)|. O(n).
+/// returned doubled: TwiceFprof = sum_i |2 sigma(i) - 2 tau(i)|. A straight
+/// walk over the two twice_position() arrays (SIMD-dispatched,
+/// util/simd.h); O(n), allocation-free, needs no scratch.
 std::int64_t TwiceFprof(const BucketOrder& sigma, const BucketOrder& tau);
 
 /// Fprof as a double (= TwiceFprof / 2).

@@ -1,42 +1,18 @@
 #include "core/hausdorff.h"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 
 #include "core/footrule.h"
 #include "core/kendall.h"
-#include "core/pair_counts.h"
+#include "core/prepared.h"
 #include "rank/refinement.h"
 
 namespace rankties {
 
-namespace {
-
-/// The two candidate refinement pairs of Theorem 5, with rho = identity.
-struct Theorem5Pairs {
-  Permutation sigma1, tau1;  // (rho*tauR*sigma, rho*sigma*tau)
-  Permutation sigma2, tau2;  // (rho*tau*sigma,  rho*sigmaR*tau)
-};
-
-Theorem5Pairs BuildTheorem5Pairs(const BucketOrder& sigma,
-                                 const BucketOrder& tau) {
-  const Permutation rho(sigma.n());  // arbitrary full ranking: identity
-  const BucketOrder sigma_rev = sigma.Reverse();
-  const BucketOrder tau_rev = tau.Reverse();
-  return Theorem5Pairs{
-      TauRefineFull(rho, TauRefine(tau_rev, sigma)),
-      TauRefineFull(rho, TauRefine(sigma, tau)),
-      TauRefineFull(rho, TauRefine(tau, sigma)),
-      TauRefineFull(rho, TauRefine(sigma_rev, tau)),
-  };
-}
-
-}  // namespace
-
 std::int64_t KHausdorff(const BucketOrder& sigma, const BucketOrder& tau) {
-  if (sigma.n() < 2) return 0;  // no pairs on a degenerate universe
-  return KHausdorffFromCounts(ComputePairCounts(sigma, tau));
+  PairScratch scratch;
+  return KHausdorff(sigma, tau, scratch);
 }
 
 std::int64_t KHausdorffFromCounts(const PairCounts& counts) {
@@ -44,23 +20,14 @@ std::int64_t KHausdorffFromCounts(const PairCounts& counts) {
          std::max(counts.tied_sigma_only, counts.tied_tau_only);
 }
 
-std::int64_t KHausdorffTheorem5(const BucketOrder& sigma,
-                                const BucketOrder& tau) {
-  if (sigma.n() < 2) return 0;  // skip the construction entirely
-  const Theorem5Pairs pairs = BuildTheorem5Pairs(sigma, tau);
-  return std::max(KendallTau(pairs.sigma1, pairs.tau1),
-                  KendallTau(pairs.sigma2, pairs.tau2));
-}
-
 std::int64_t TwiceFHausdorff(const BucketOrder& sigma, const BucketOrder& tau) {
-  if (sigma.n() < 2) return 0;  // skip the construction entirely
-  const Theorem5Pairs pairs = BuildTheorem5Pairs(sigma, tau);
-  return 2 * std::max(Footrule(pairs.sigma1, pairs.tau1),
-                      Footrule(pairs.sigma2, pairs.tau2));
+  PairScratch scratch;
+  return TwiceFHausdorff(sigma, tau, scratch);
 }
 
 double FHausdorff(const BucketOrder& sigma, const BucketOrder& tau) {
-  return static_cast<double>(TwiceFHausdorff(sigma, tau)) / 2.0;
+  PairScratch scratch;
+  return FHausdorff(sigma, tau, scratch);
 }
 
 namespace {

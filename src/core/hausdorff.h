@@ -12,30 +12,19 @@ namespace rankties {
 /// the sets of full refinements of sigma and tau. Computed in O(n log n)
 /// through Proposition 6: KHaus = |U| + max(|S|, |T|) where U is the set of
 /// discordant untied pairs and S/T the pairs tied in exactly one input.
-/// All Hausdorff entry points return 0 on degenerate universes (n < 2)
-/// without touching the construction or counting machinery.
+/// All Hausdorff entry points return 0 on degenerate universes (n < 2).
+/// The point forms here run the kernels of core/prepared.h on a
+/// function-local scratch.
 std::int64_t KHausdorff(const BucketOrder& sigma, const BucketOrder& tau);
 
-/// Proposition 6 on precomputed pair counts; O(1). Shared by the legacy
-/// BucketOrder path above and the prepared kernels (core/prepared.h), so
-/// the two paths are bit-identical by construction.
+/// Proposition 6 on precomputed pair counts; O(1). Shared by the kernels
+/// (core/prepared.h) and the incremental count-delta engine.
 std::int64_t KHausdorffFromCounts(const PairCounts& counts);
 
-/// KHaus via the Theorem 5 characterization: constructs the two candidate
-/// refinement pairs (rho*tauR*sigma, rho*sigma*tau) and
-/// (rho*tau*sigma, rho*sigmaR*tau) with rho the identity full ranking, and
-/// takes the max Kendall distance. Agrees with KHausdorff; kept as an
-/// independently-testable path. O(n log n).
-std::int64_t KHausdorffTheorem5(const BucketOrder& sigma,
-                                const BucketOrder& tau);
-
-/// FHaus (paper §3.2) through Theorem 5. There is no direct count formula
-/// for FHaus in the paper; the construction is the algorithm. Exact doubled
-/// value (full-ranking footrule is integral, so this is just 2*F). O(n log n)
-/// with eight sorts and per-pair allocations: the batch engine instead uses
-/// the allocation-free joint-bucket-run kernel on prepared rankings
-/// (core/prepared.h), and this explicit construction stays in-tree as the
-/// independently-derived oracle the kernel is fuzzed against.
+/// FHaus (paper §3.2), doubled (the full-ranking footrule is integral).
+/// There is no count formula for FHaus in the paper; the kernel evaluates
+/// Theorem 5's construction cell by cell (core/prepared.h), and the
+/// explicit construction lives on in src/ref as its oracle.
 std::int64_t TwiceFHausdorff(const BucketOrder& sigma, const BucketOrder& tau);
 
 /// FHaus as a double.

@@ -1,8 +1,6 @@
 #include "core/metric_registry.h"
 
-#include "core/footrule.h"
-#include "core/hausdorff.h"
-#include "core/profile_metrics.h"
+#include "core/prepared.h"
 
 namespace rankties {
 
@@ -29,17 +27,23 @@ const char* MetricName(MetricKind kind) {
 
 double ComputeMetric(MetricKind kind, const BucketOrder& sigma,
                      const BucketOrder& tau) {
+  PairScratch scratch;
+  return ComputeMetric(kind, sigma, tau, scratch);
+}
+
+double ComputeMetric(MetricKind kind, const BucketOrder& sigma,
+                     const BucketOrder& tau, PairScratch& scratch) {
   switch (kind) {
     case MetricKind::kKprof:
-      return Kprof(sigma, tau);
+      return Kprof(sigma, tau, scratch);
     case MetricKind::kFprof:
       return Fprof(sigma, tau);
     case MetricKind::kKHaus:
-      return static_cast<double>(KHausdorff(sigma, tau));
+      return static_cast<double>(KHausdorff(sigma, tau, scratch));
     case MetricKind::kFHaus:
-      return FHausdorff(sigma, tau);
+      return FHausdorff(sigma, tau, scratch);
   }
-  return 0.0;
+  return 0.0;  // unreachable; keeps -Wreturn-type quiet
 }
 
 MetricFn MetricFunction(MetricKind kind) {

@@ -9,6 +9,8 @@
 
 namespace rankties {
 
+class PairScratch;
+
 /// The four partial-ranking metrics of the paper (§3).
 enum class MetricKind {
   kKprof,  ///< Kendall profile metric K^(1/2)          (§3.1)
@@ -24,9 +26,16 @@ const std::vector<MetricKind>& AllMetricKinds();
 const char* MetricName(MetricKind kind);
 
 /// Evaluates the metric. All four are exact; Kprof/Fprof may be
-/// half-integral, so the result is a double.
+/// half-integral, so the result is a double. Runs the kernels of
+/// core/prepared.h on a function-local scratch.
 double ComputeMetric(MetricKind kind, const BucketOrder& sigma,
                      const BucketOrder& tau);
+
+/// The one metric-kind dispatch: ComputeMetric on a caller-owned scratch,
+/// allocation-free once the scratch is warm. The batch and out-of-core
+/// engines call it with their pool lane's scratch.
+double ComputeMetric(MetricKind kind, const BucketOrder& sigma,
+                     const BucketOrder& tau, PairScratch& scratch);
 
 /// A type-erased distance on partial rankings, for generic analyses.
 using MetricFn =

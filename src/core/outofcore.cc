@@ -3,53 +3,12 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/prepared.h"
+#include "core/batch_engine.h"
 #include "obs/obs.h"
 #include "util/contracts.h"
 #include "util/thread_pool.h"
 
 namespace rankties {
-
-namespace {
-
-// One scratch per pool thread, mirroring batch_engine's ThreadScratch: the
-// prepared kernels are zero-allocation on a warm scratch, and per-thread
-// reuse keeps them warm across chunk pairs.
-PairScratch& ThreadScratch() {
-  static thread_local PairScratch scratch;
-  return scratch;
-}
-
-// Same kind dispatch and argument order as batch_engine's EvalPrepared:
-// sigma = global list i, tau = global list j with i < j. Matching the
-// in-RAM call sites exactly is what makes the blocked matrix bit-identical.
-double EvalPreparedPair(MetricKind kind, const PreparedRanking& sigma,
-                        const PreparedRanking& tau, PairScratch& scratch) {
-  switch (kind) {
-    case MetricKind::kKprof:
-      return Kprof(sigma, tau, scratch);
-    case MetricKind::kFprof:
-      return Fprof(sigma, tau);
-    case MetricKind::kKHaus:
-      return static_cast<double>(KHausdorff(sigma, tau, scratch));
-    case MetricKind::kFHaus:
-      return FHausdorff(sigma, tau, scratch);
-  }
-  return 0.0;  // unreachable; keeps -Wreturn-type quiet
-}
-
-std::vector<PreparedRanking> PrepareChunk(
-    const std::vector<BucketOrder>& lists) {
-  std::vector<PreparedRanking> prepared(lists.size());
-  ParallelFor(0, lists.size(), 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      prepared[i] = PreparedRanking(lists[i]);
-    }
-  });
-  return prepared;
-}
-
-}  // namespace
 
 StatusOr<std::vector<std::int64_t>> StreamingMedianRankScoresQuad(
     store::CorpusReader& reader, MedianPolicy policy,
@@ -133,15 +92,16 @@ StatusOr<std::vector<std::vector<double>>> OutOfCoreDistanceMatrix(
     RANKTIES_OBS_COUNT("outofcore.chunk_loads", 1);
     const std::size_t first_a =
         static_cast<std::size_t>(reader.chunk(a).first_list);
-    const std::vector<PreparedRanking> prepared_a = PrepareChunk(lists_a);
 
-    // Diagonal block: within-chunk upper triangle.
-    ParallelFor(0, prepared_a.size(), 1, [&](std::size_t lo, std::size_t hi) {
-      PairScratch& scratch = ThreadScratch();
+    // Diagonal block: within-chunk upper triangle. Same kind dispatch and
+    // argument order as DistanceMatrix (sigma = global list i, tau = global
+    // list j, i < j), which is what makes the blocked matrix bit-identical.
+    ParallelFor(0, lists_a.size(), 1, [&](std::size_t lo, std::size_t hi) {
+      PairScratch& scratch = LaneScratch();
       for (std::size_t i = lo; i < hi; ++i) {
-        for (std::size_t j = i + 1; j < prepared_a.size(); ++j) {
+        for (std::size_t j = i + 1; j < lists_a.size(); ++j) {
           const double d =
-              EvalPreparedPair(kind, prepared_a[i], prepared_a[j], scratch);
+              ComputeMetric(kind, lists_a[i], lists_a[j], scratch);
           matrix[first_a + i][first_a + j] = d;
           matrix[first_a + j][first_a + i] = d;
         }
@@ -149,34 +109,31 @@ StatusOr<std::vector<std::vector<double>>> OutOfCoreDistanceMatrix(
     });
     RANKTIES_OBS_COUNT(
         "outofcore.metric_evals",
-        static_cast<std::int64_t>(prepared_a.size() *
-                                  (prepared_a.size() - 1) / 2));
+        static_cast<std::int64_t>(lists_a.size() * (lists_a.size() - 1) / 2));
 
-    // Cross blocks: chunk a stays prepared while b sweeps the tail.
+    // Cross blocks: chunk a stays loaded while b sweeps the tail.
     for (std::size_t b = a + 1; b < chunks; ++b) {
       s = reader.ReadChunk(b, &lists_b);
       if (!s.ok()) return s;
       RANKTIES_OBS_COUNT("outofcore.chunk_loads", 1);
       const std::size_t first_b =
           static_cast<std::size_t>(reader.chunk(b).first_list);
-      const std::vector<PreparedRanking> prepared_b = PrepareChunk(lists_b);
-      ParallelFor(
-          0, prepared_a.size(), 1, [&](std::size_t lo, std::size_t hi) {
-            PairScratch& scratch = ThreadScratch();
-            for (std::size_t i = lo; i < hi; ++i) {
-              for (std::size_t j = 0; j < prepared_b.size(); ++j) {
-                // Global i < global j always holds across chunks a < b, so
-                // sigma/tau order matches the in-RAM upper triangle.
-                const double d = EvalPreparedPair(kind, prepared_a[i],
-                                                  prepared_b[j], scratch);
-                matrix[first_a + i][first_b + j] = d;
-                matrix[first_b + j][first_a + i] = d;
-              }
-            }
-          });
+      ParallelFor(0, lists_a.size(), 1, [&](std::size_t lo, std::size_t hi) {
+        PairScratch& scratch = LaneScratch();
+        for (std::size_t i = lo; i < hi; ++i) {
+          for (std::size_t j = 0; j < lists_b.size(); ++j) {
+            // Global i < global j always holds across chunks a < b, so
+            // sigma/tau order matches the in-RAM upper triangle.
+            const double d =
+                ComputeMetric(kind, lists_a[i], lists_b[j], scratch);
+            matrix[first_a + i][first_b + j] = d;
+            matrix[first_b + j][first_a + i] = d;
+          }
+        }
+      });
       RANKTIES_OBS_COUNT(
           "outofcore.metric_evals",
-          static_cast<std::int64_t>(prepared_a.size() * prepared_b.size()));
+          static_cast<std::int64_t>(lists_a.size() * lists_b.size()));
     }
   }
   return matrix;

@@ -22,7 +22,7 @@ namespace rankties {
 /// counterparts on the same corpus — StreamingMedianRankScoresQuad to
 /// MedianRankScoresQuad (the median of a multiset does not depend on
 /// accumulation order) and OutOfCoreDistanceMatrix to DistanceMatrix
-/// (every slot runs the same prepared kernel with the same global (i, j)
+/// (every slot runs the same kernel with the same global (i, j)
 /// argument order). CI gates on the bit-exact match.
 
 struct OutOfCoreOptions {
@@ -50,11 +50,11 @@ StatusOr<BucketOrder> StreamingMedianInducedOrder(
     const OutOfCoreOptions& options = {});
 
 /// The m x m distance matrix of DistanceMatrix computed blockwise over
-/// chunk pairs: chunk A is prepared once per outer iteration, chunk B is
+/// chunk pairs: chunk A is loaded once per outer iteration, chunk B is
 /// loaded through the cache, and every global pair (i, j), i < j, in the
-/// block runs the prepared kernels on per-thread scratch. Only the chunk
-/// pair's preparations are live at once; the matrix itself (m^2 doubles)
-/// is the caller's output and scales with m, not n.
+/// block runs the kernels on the pool lane's scratch. Only the chunk pair's
+/// rankings are live at once; the matrix itself (m^2 doubles) is the
+/// caller's output and scales with m, not n.
 StatusOr<std::vector<std::vector<double>>> OutOfCoreDistanceMatrix(
     MetricKind kind, store::CorpusReader& reader);
 

@@ -1,84 +1,13 @@
 #include "core/pair_counts.h"
 
-#include <algorithm>
-#include <numeric>
-#include <unordered_map>
-#include <vector>
-
-#include "util/checked_math.h"
+#include "core/prepared.h"
 #include "util/contracts.h"
-#include "util/fenwick.h"
 
 namespace rankties {
 
 PairCounts ComputePairCounts(const BucketOrder& sigma, const BucketOrder& tau) {
-  RANKTIES_DCHECK(sigma.n() == tau.n());
-  const std::size_t n = sigma.n();
-  PairCounts counts;
-  if (n < 2) return counts;
-
-  // --- Tie classes via bucket histograms. ---
-  // tied_both: pairs sharing both a sigma bucket and a tau bucket. Group by
-  // the joint key (sigma bucket, tau bucket).
-  std::unordered_map<std::int64_t, std::int64_t> joint;
-  joint.reserve(n);
-  const std::int64_t tau_buckets = static_cast<std::int64_t>(tau.num_buckets());
-  for (std::size_t e = 0; e < n; ++e) {
-    const std::int64_t key =
-        static_cast<std::int64_t>(sigma.BucketOf(static_cast<ElementId>(e))) *
-            tau_buckets +
-        tau.BucketOf(static_cast<ElementId>(e));
-    ++joint[key];
-  }
-  for (const auto& [key, size] : joint) counts.tied_both += CheckedChoose2(size);
-
-  std::int64_t tied_sigma_pairs = 0;  // pairs tied in sigma (incl. tied_both)
-  for (std::size_t b = 0; b < sigma.num_buckets(); ++b) {
-    tied_sigma_pairs +=
-        CheckedChoose2(static_cast<std::int64_t>(sigma.bucket(b).size()));
-  }
-  std::int64_t tied_tau_pairs = 0;
-  for (std::size_t b = 0; b < tau.num_buckets(); ++b) {
-    tied_tau_pairs +=
-        CheckedChoose2(static_cast<std::int64_t>(tau.bucket(b).size()));
-  }
-  counts.tied_sigma_only = tied_sigma_pairs - counts.tied_both;
-  counts.tied_tau_only = tied_tau_pairs - counts.tied_both;
-
-  // --- Discordant pairs via Fenwick inversion counting. ---
-  // Process elements sigma-bucket by sigma-bucket (ascending). For each new
-  // element with tau-bucket t, elements already inserted come from strictly
-  // earlier sigma buckets; those with tau-bucket > t form discordant pairs.
-  // Elements of the same sigma bucket are queried before any of them is
-  // inserted, so sigma-ties never count.
-  std::vector<ElementId> elems(n);
-  std::iota(elems.begin(), elems.end(), 0);
-  std::sort(elems.begin(), elems.end(), [&](ElementId a, ElementId b) {
-    return sigma.BucketOf(a) < sigma.BucketOf(b);
-  });
-  Fenwick<std::int64_t> seen(tau.num_buckets());
-  std::size_t i = 0;
-  std::int64_t inserted = 0;
-  while (i < n) {
-    std::size_t j = i;
-    const BucketIndex sb = sigma.BucketOf(elems[i]);
-    while (j < n && sigma.BucketOf(elems[j]) == sb) ++j;
-    for (std::size_t k = i; k < j; ++k) {
-      const std::size_t tb = static_cast<std::size_t>(tau.BucketOf(elems[k]));
-      // inserted elements with tau bucket strictly greater than tb:
-      counts.discordant += inserted - seen.PrefixSum(tb);
-    }
-    for (std::size_t k = i; k < j; ++k) {
-      seen.Add(static_cast<std::size_t>(tau.BucketOf(elems[k])), 1);
-      ++inserted;
-    }
-    i = j;
-  }
-
-  counts.concordant = CheckedChoose2(static_cast<std::int64_t>(n)) -
-                      counts.discordant - counts.tied_sigma_only -
-                      counts.tied_tau_only - counts.tied_both;
-  return counts;
+  PairScratch scratch;
+  return ComputePairCounts(sigma, tau, scratch);
 }
 
 PairCounts ComputePairCountsNaive(const BucketOrder& sigma,

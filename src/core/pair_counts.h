@@ -46,9 +46,10 @@ struct PairCounts {
   friend bool operator==(const PairCounts& a, const PairCounts& b) = default;
 };
 
-/// Computes the pair classification in O(n log n) via a lexicographic sort,
-/// Fenwick-tree inversion counting, and a joint bucket histogram.
-/// Requires sigma.n() == tau.n().
+/// Computes the pair classification through the kernel of core/prepared.h
+/// on a function-local scratch (O(n log n) worst case). Loops over many
+/// pairs should pass their own PairScratch instead. Requires
+/// sigma.n() == tau.n().
 PairCounts ComputePairCounts(const BucketOrder& sigma, const BucketOrder& tau);
 
 /// Reference O(n^2) implementation used to cross-check the fast path.

@@ -1,7 +1,6 @@
 #include "core/prepared.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "core/hausdorff.h"
 #include "core/profile_metrics.h"
@@ -57,270 +56,6 @@ bool JointCountsAllZero(const std::vector<std::int64_t>& cells,
 
 }  // namespace
 
-PreparedRanking::PreparedRanking(const BucketOrder& order) {
-  // Freeze boundary: every kernel below assumes a well-formed bucket order
-  // (Theorem 5 / Proposition 6 preconditions), so re-prove it here in
-  // debug builds rather than inside each hot kernel.
-  RANKTIES_DCHECK_OK(order.Validate());
-  const std::size_t n = order.n();
-  const std::size_t t = order.num_buckets();
-  bucket_of_.resize(n);
-  by_bucket_.resize(n);
-  bucket_offset_.resize(t + 1);
-  twice_pos_.resize(n);
-  // One pass over the partition: the by-bucket concatenation *is* the
-  // counting-sorted element order the legacy engine re-derives per pair.
-  std::size_t cursor = 0;
-  for (std::size_t b = 0; b < t; ++b) {
-    bucket_offset_[b] = cursor;
-    const std::vector<ElementId>& bucket = order.bucket(b);
-    const std::int64_t twice_pos = order.TwicePositionOfBucket(b);
-    tied_pairs_ = CheckedAdd(
-        tied_pairs_, CheckedChoose2(static_cast<std::int64_t>(bucket.size())));
-    for (const ElementId e : bucket) {
-      bucket_of_[static_cast<std::size_t>(e)] = static_cast<BucketIndex>(b);
-      twice_pos_[static_cast<std::size_t>(e)] = twice_pos;
-      by_bucket_[cursor++] = e;
-    }
-  }
-  bucket_offset_[t] = cursor;
-  RANKTIES_DCHECK(cursor == n);  // the partition covered the whole domain
-}
-
-void PreparedRanking::RecomputePositions(std::size_t lo, std::size_t hi) {
-  // 2*pos(B_b) = 2*sum_{j<b}|B_j| + |B_b| + 1 = off[b] + off[b+1] + 1.
-  for (std::size_t b = lo; b <= hi && b < num_buckets(); ++b) {
-    const std::int64_t twice_pos =
-        static_cast<std::int64_t>(bucket_offset_[b]) +
-        static_cast<std::int64_t>(bucket_offset_[b + 1]) + 1;
-    for (std::size_t k = bucket_offset_[b]; k < bucket_offset_[b + 1]; ++k) {
-      twice_pos_[static_cast<std::size_t>(by_bucket_[k])] = twice_pos;
-    }
-  }
-}
-
-void PreparedRanking::CollapseEmptyBucket(std::size_t b) {
-  RANKTIES_DCHECK(bucket_offset_[b] == bucket_offset_[b + 1]);
-  bucket_offset_.erase(bucket_offset_.begin() +
-                       static_cast<std::ptrdiff_t>(b));
-  for (std::size_t k = bucket_offset_[b]; k < n(); ++k) {
-    --bucket_of_[static_cast<std::size_t>(by_bucket_[k])];
-  }
-}
-
-std::size_t PreparedRanking::SlotOf(ElementId e) const {
-  const std::size_t b =
-      static_cast<std::size_t>(bucket_of_[static_cast<std::size_t>(e)]);
-  const auto lo = by_bucket_.begin() +
-                  static_cast<std::ptrdiff_t>(bucket_offset_[b]);
-  const auto hi = by_bucket_.begin() +
-                  static_cast<std::ptrdiff_t>(bucket_offset_[b + 1]);
-  const auto slot = std::lower_bound(lo, hi, e);
-  RANKTIES_DCHECK(slot != hi && *slot == e);
-  return static_cast<std::size_t>(slot - by_bucket_.begin());
-}
-
-Status PreparedRanking::MoveToBucket(ElementId e, std::size_t target_bucket) {
-  if (static_cast<std::size_t>(e) >= n()) {
-    return Status::InvalidArgument("element out of range");
-  }
-  if (target_bucket >= num_buckets()) {
-    return Status::InvalidArgument("target bucket out of range");
-  }
-  const std::size_t s =
-      static_cast<std::size_t>(bucket_of_[static_cast<std::size_t>(e)]);
-  const std::size_t d = target_bucket;
-  if (s == d) return Status::Ok();
-
-  const std::int64_t source_size = static_cast<std::int64_t>(
-      bucket_offset_[s + 1] - bucket_offset_[s]);
-  const std::int64_t target_size = static_cast<std::int64_t>(
-      bucket_offset_[d + 1] - bucket_offset_[d]);
-  // choose2(a) - choose2(a-1) = a-1 leaving the source; +b joining the
-  // target — exact integer maintenance of the frozen tied-pair count.
-  tied_pairs_ = CheckedAdd(tied_pairs_, target_size - (source_size - 1));
-
-  const std::size_t slot = SlotOf(e);
-  if (s < d) {
-    // Insertion point inside the target's range keeps ids ascending; the
-    // range shifts one left once e's old slot is vacated, so rotate to
-    // insert_at - 1.
-    const auto insert_at = std::lower_bound(
-        by_bucket_.begin() + static_cast<std::ptrdiff_t>(bucket_offset_[d]),
-        by_bucket_.begin() +
-            static_cast<std::ptrdiff_t>(bucket_offset_[d + 1]),
-        e);
-    std::rotate(by_bucket_.begin() + static_cast<std::ptrdiff_t>(slot),
-                by_bucket_.begin() + static_cast<std::ptrdiff_t>(slot) + 1,
-                insert_at);
-    for (std::size_t b = s + 1; b <= d; ++b) --bucket_offset_[b];
-  } else {
-    const auto insert_at = std::lower_bound(
-        by_bucket_.begin() + static_cast<std::ptrdiff_t>(bucket_offset_[d]),
-        by_bucket_.begin() +
-            static_cast<std::ptrdiff_t>(bucket_offset_[d + 1]),
-        e);
-    std::rotate(insert_at,
-                by_bucket_.begin() + static_cast<std::ptrdiff_t>(slot),
-                by_bucket_.begin() + static_cast<std::ptrdiff_t>(slot) + 1);
-    for (std::size_t b = d + 1; b <= s; ++b) ++bucket_offset_[b];
-  }
-  bucket_of_[static_cast<std::size_t>(e)] = static_cast<BucketIndex>(d);
-
-  std::size_t lo = std::min(s, d);
-  std::size_t hi = std::max(s, d);
-  if (source_size == 1) {
-    // The source bucket emptied: remove it, shifting later buckets down.
-    CollapseEmptyBucket(s);
-    hi = hi == 0 ? 0 : hi - 1;
-  }
-  RecomputePositions(lo, hi);
-  return Status::Ok();
-}
-
-Status PreparedRanking::MoveToNewBucket(ElementId e,
-                                        std::size_t before_bucket) {
-  if (static_cast<std::size_t>(e) >= n()) {
-    return Status::InvalidArgument("element out of range");
-  }
-  if (before_bucket > num_buckets()) {
-    return Status::InvalidArgument("insertion position out of range");
-  }
-  const std::size_t s =
-      static_cast<std::size_t>(bucket_of_[static_cast<std::size_t>(e)]);
-  const std::size_t p = before_bucket;
-  const std::int64_t source_size = static_cast<std::int64_t>(
-      bucket_offset_[s + 1] - bucket_offset_[s]);
-  if (source_size == 1 && (p == s || p == s + 1)) {
-    return Status::Ok();  // already a singleton bucket at this position
-  }
-  tied_pairs_ = CheckedAdd(tied_pairs_, -(source_size - 1));
-
-  const std::size_t slot = SlotOf(e);
-  if (p > s) {
-    // e travels right: it lands just before the old bucket p, i.e. at the
-    // end of the old bucket p-1's range.
-    const std::size_t q = bucket_offset_[p];
-    std::rotate(by_bucket_.begin() + static_cast<std::ptrdiff_t>(slot),
-                by_bucket_.begin() + static_cast<std::ptrdiff_t>(slot) + 1,
-                by_bucket_.begin() + static_cast<std::ptrdiff_t>(q));
-    // Buckets strictly between the source and the insertion point lose the
-    // slot e vacated; then the new singleton bucket [q-1, q) is spliced in
-    // before old bucket p.
-    for (std::size_t b = s + 1; b < p; ++b) --bucket_offset_[b];
-    bucket_offset_.insert(
-        bucket_offset_.begin() + static_cast<std::ptrdiff_t>(p), q - 1);
-  } else {
-    const std::size_t q = bucket_offset_[p];
-    std::rotate(by_bucket_.begin() + static_cast<std::ptrdiff_t>(q),
-                by_bucket_.begin() + static_cast<std::ptrdiff_t>(slot),
-                by_bucket_.begin() + static_cast<std::ptrdiff_t>(slot) + 1);
-    // The new singleton bucket [q, q+1) displaces buckets p..s one slot to
-    // the right; the spliced entry keeps the old off[p] as the new bucket's
-    // start.
-    bucket_offset_.insert(
-        bucket_offset_.begin() + static_cast<std::ptrdiff_t>(p), q);
-    for (std::size_t b = p + 1; b <= s + 1; ++b) ++bucket_offset_[b];
-  }
-
-  // Reindex bucket_of_ and positions. The source bucket now sits at index
-  // s + 1 when the new bucket landed before it.
-  const std::size_t source_now = p <= s ? s + 1 : s;
-  std::size_t reindex_end;
-  if (source_size == 1) {
-    // Net bucket count unchanged (one bucket emptied, one inserted):
-    // buckets outside [min(p, s), max(p, s)] keep their indices, so only
-    // the offset entry is spliced out here — the reindex loop below
-    // rewrites bucket_of_ for the affected range, and the suffix was never
-    // touched. (CollapseEmptyBucket would wrongly decrement that suffix.)
-    RANKTIES_DCHECK(bucket_offset_[source_now] ==
-                    bucket_offset_[source_now + 1]);
-    bucket_offset_.erase(bucket_offset_.begin() +
-                         static_cast<std::ptrdiff_t>(source_now));
-    reindex_end = std::max(p, source_now);
-    reindex_end = reindex_end == 0 ? 0 : reindex_end - 1;
-  } else {
-    // Net +1 bucket: every bucket from the insertion point on shifted.
-    reindex_end = num_buckets() - 1;
-  }
-  const std::size_t lo = std::min(p, s);
-  for (std::size_t b = lo; b <= reindex_end; ++b) {
-    for (std::size_t k = bucket_offset_[b]; k < bucket_offset_[b + 1]; ++k) {
-      bucket_of_[static_cast<std::size_t>(by_bucket_[k])] =
-          static_cast<BucketIndex>(b);
-    }
-  }
-  RecomputePositions(lo, reindex_end);
-  return Status::Ok();
-}
-
-Status PreparedRanking::InsertItem(std::size_t bucket) {
-  if (bucket >= num_buckets() && !(bucket == 0 && n() == 0)) {
-    return Status::InvalidArgument("bucket out of range");
-  }
-  if (n() == 0) {
-    // Growing an empty domain: element 0 forms the first bucket.
-    bucket_of_.assign(1, 0);
-    by_bucket_.assign(1, 0);
-    bucket_offset_ = {0, 1};
-    twice_pos_.assign(1, 2);  // 2 * pos 1
-    return Status::Ok();
-  }
-  const ElementId fresh = static_cast<ElementId>(n());
-  const std::int64_t bucket_size = static_cast<std::int64_t>(
-      bucket_offset_[bucket + 1] - bucket_offset_[bucket]);
-  tied_pairs_ = CheckedAdd(tied_pairs_, bucket_size);
-  // The fresh id is the largest, so it slots at the end of its bucket.
-  by_bucket_.insert(by_bucket_.begin() + static_cast<std::ptrdiff_t>(
-                                             bucket_offset_[bucket + 1]),
-                    fresh);
-  for (std::size_t b = bucket + 1; b < bucket_offset_.size(); ++b) {
-    ++bucket_offset_[b];
-  }
-  bucket_of_.push_back(static_cast<BucketIndex>(bucket));
-  twice_pos_.push_back(0);  // filled by the position sweep below
-  RecomputePositions(bucket, num_buckets() - 1);
-  return Status::Ok();
-}
-
-Status PreparedRanking::EraseItem(ElementId e) {
-  if (static_cast<std::size_t>(e) >= n()) {
-    return Status::InvalidArgument("element out of range");
-  }
-  const std::size_t s =
-      static_cast<std::size_t>(bucket_of_[static_cast<std::size_t>(e)]);
-  const std::int64_t source_size = static_cast<std::int64_t>(
-      bucket_offset_[s + 1] - bucket_offset_[s]);
-  tied_pairs_ = CheckedAdd(tied_pairs_, -(source_size - 1));
-
-  const std::size_t slot = SlotOf(e);
-  by_bucket_.erase(by_bucket_.begin() + static_cast<std::ptrdiff_t>(slot));
-  // Renumber: ids above e shift down one; subtracting one from every
-  // larger id preserves the ascending order within each bucket.
-  for (ElementId& id : by_bucket_) {
-    if (id > e) --id;
-  }
-  for (std::size_t b = s + 1; b < bucket_offset_.size(); ++b) {
-    --bucket_offset_[b];
-  }
-  bucket_of_.erase(bucket_of_.begin() + static_cast<std::ptrdiff_t>(e));
-  twice_pos_.erase(twice_pos_.begin() + static_cast<std::ptrdiff_t>(e));
-  if (source_size == 1) CollapseEmptyBucket(s);
-  if (n() > 0) {
-    const std::size_t last = num_buckets() - 1;
-    RecomputePositions(std::min(s, last), last);
-  }
-  return Status::Ok();
-}
-
-BucketOrder PreparedRanking::ToBucketOrder() const {
-  if (n() == 0) return BucketOrder();
-  StatusOr<BucketOrder> thawed = BucketOrder::FromBucketIndex(bucket_of_);
-  // The delta ops maintain the freeze invariants, so the thaw cannot fail.
-  RANKTIES_DCHECK(thawed.ok());
-  return *std::move(thawed);
-}
-
 void PairScratch::Reserve(std::size_t n, std::size_t buckets) {
   if (fenwick_.size() < buckets + 1) fenwick_.resize(buckets + 1, 0);
   const std::size_t product = buckets * buckets;
@@ -331,8 +66,8 @@ void PairScratch::Reserve(std::size_t n, std::size_t buckets) {
   if (keys32_.capacity() < n) keys32_.reserve(n);
 }
 
-PairCounts ComputePairCounts(const PreparedRanking& sigma,
-                             const PreparedRanking& tau,
+PairCounts ComputePairCounts(const BucketOrder& sigma,
+                             const BucketOrder& tau,
                              PairScratch& scratch) {
   RANKTIES_DCHECK(sigma.n() == tau.n());
   const std::size_t n = sigma.n();
@@ -352,7 +87,7 @@ PairCounts ComputePairCounts(const PreparedRanking& sigma,
     // rows in sigma-bucket order keeping P[t] = elements of earlier sigma
     // buckets with tau bucket <= t. A cell (s, t) with count c contributes
     // choose2(c) tied-both pairs and c * (inserted - P[t]) discordant pairs
-    // — the same per-element sums the legacy Fenwick accumulates, batched
+    // — the same per-element sums the Fenwick fallback accumulates, batched
     // per cell, with no per-element tree walks and no sort. Cells are
     // re-zeroed as they are consumed, so the buffer never needs a bulk
     // clear (entries are zero outside a call, by invariant).
@@ -436,7 +171,7 @@ PairCounts ComputePairCounts(const PreparedRanking& sigma,
   counts.tied_tau_only = tau.tied_pairs() - counts.tied_both;
 
   // --- Discordant pairs: Fenwick inversion count over tau buckets, walking
-  // sigma's frozen by-bucket order (same visit order as the legacy sort, so
+  // sigma's by-bucket order (same visit order as the per-pair sort, so
   // the arithmetic is identical). Same-sigma-bucket elements are all queried
   // before any is inserted, so sigma-ties never count.
   if (scratch.fenwick_.size() < t_tau + 1) {
@@ -481,44 +216,32 @@ PairCounts ComputePairCounts(const PreparedRanking& sigma,
   return counts;
 }
 
-std::int64_t TwiceKprof(const PreparedRanking& sigma,
-                        const PreparedRanking& tau, PairScratch& scratch) {
+std::int64_t TwiceKprof(const BucketOrder& sigma,
+                        const BucketOrder& tau, PairScratch& scratch) {
   if (sigma.n() < 2) return 0;  // no pairs on a degenerate universe
   return TwiceKprofFromCounts(ComputePairCounts(sigma, tau, scratch));
 }
 
-double Kprof(const PreparedRanking& sigma, const PreparedRanking& tau,
+double Kprof(const BucketOrder& sigma, const BucketOrder& tau,
              PairScratch& scratch) {
   return static_cast<double>(TwiceKprof(sigma, tau, scratch)) / 2.0;
 }
 
-double KendallP(const PreparedRanking& sigma, const PreparedRanking& tau,
+double KendallP(const BucketOrder& sigma, const BucketOrder& tau,
                 double p, PairScratch& scratch) {
   RANKTIES_DCHECK(p >= 0.0 && p <= 1.0);
   if (sigma.n() < 2) return 0.0;  // no pairs on a degenerate universe
   return KendallPFromCounts(ComputePairCounts(sigma, tau, scratch), p);
 }
 
-std::int64_t KHausdorff(const PreparedRanking& sigma,
-                        const PreparedRanking& tau, PairScratch& scratch) {
+std::int64_t KHausdorff(const BucketOrder& sigma,
+                        const BucketOrder& tau, PairScratch& scratch) {
   if (sigma.n() < 2) return 0;  // no pairs on a degenerate universe
   return KHausdorffFromCounts(ComputePairCounts(sigma, tau, scratch));
 }
 
-std::int64_t TwiceFprof(const PreparedRanking& sigma,
-                        const PreparedRanking& tau) {
-  RANKTIES_DCHECK(sigma.n() == tau.n());
-  const std::vector<std::int64_t>& a = sigma.twice_position();
-  const std::vector<std::int64_t>& b = tau.twice_position();
-  return simd::AbsDiffSumI64(a.data(), b.data(), a.size());
-}
-
-double Fprof(const PreparedRanking& sigma, const PreparedRanking& tau) {
-  return static_cast<double>(TwiceFprof(sigma, tau)) / 2.0;
-}
-
-std::int64_t TwiceFHausdorff(const PreparedRanking& sigma,
-                             const PreparedRanking& tau,
+std::int64_t TwiceFHausdorff(const BucketOrder& sigma,
+                             const BucketOrder& tau,
                              PairScratch& scratch) {
   RANKTIES_DCHECK(sigma.n() == tau.n());
   const std::size_t n = sigma.n();
@@ -535,7 +258,7 @@ std::int64_t TwiceFHausdorff(const PreparedRanking& sigma,
   // elements in ascending id, so the rank displacement |rank_sigma_k(e) -
   // rank_tau_k(e)| is one constant per cell and each candidate footrule is
   // a sum of cnt(s, t) * |displacement(s, t)| over occupied cells. The
-  // displacements need only the cell count, the frozen bucket offsets of
+  // displacements need only the cell count, the bucket offsets of
   // both sides, and two running prefixes maintained by a row-major sweep:
   // row_before (elements of row s in earlier columns) and col_before[t]
   // (elements of column t in earlier rows).
@@ -646,7 +369,7 @@ std::int64_t TwiceFHausdorff(const PreparedRanking& sigma,
   return 2 * std::max(f1, f2);
 }
 
-double FHausdorff(const PreparedRanking& sigma, const PreparedRanking& tau,
+double FHausdorff(const BucketOrder& sigma, const BucketOrder& tau,
                   PairScratch& scratch) {
   return static_cast<double>(TwiceFHausdorff(sigma, tau, scratch)) / 2.0;
 }

@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "core/kendall.h"
+#include "core/prepared.h"
 #include "rank/refinement.h"
 #include "util/checked_math.h"
 #include "util/contracts.h"
@@ -16,14 +17,13 @@ double KendallPFromCounts(const PairCounts& counts, double p) {
 }
 
 double KendallP(const BucketOrder& sigma, const BucketOrder& tau, double p) {
-  RANKTIES_DCHECK(p >= 0.0 && p <= 1.0);
-  if (sigma.n() < 2) return 0.0;  // no pairs on a degenerate universe
-  return KendallPFromCounts(ComputePairCounts(sigma, tau), p);
+  PairScratch scratch;
+  return KendallP(sigma, tau, p, scratch);
 }
 
 std::int64_t TwiceKprof(const BucketOrder& sigma, const BucketOrder& tau) {
-  if (sigma.n() < 2) return 0;  // no pairs on a degenerate universe
-  return TwiceKprofFromCounts(ComputePairCounts(sigma, tau));
+  PairScratch scratch;
+  return TwiceKprof(sigma, tau, scratch);
 }
 
 std::int64_t TwiceKprofFromCounts(const PairCounts& counts) {
@@ -32,7 +32,8 @@ std::int64_t TwiceKprofFromCounts(const PairCounts& counts) {
 }
 
 double Kprof(const BucketOrder& sigma, const BucketOrder& tau) {
-  return static_cast<double>(TwiceKprof(sigma, tau)) / 2.0;
+  PairScratch scratch;
+  return Kprof(sigma, tau, scratch);
 }
 
 std::vector<std::int8_t> KProfileQuarters(const BucketOrder& sigma) {
@@ -71,11 +72,7 @@ std::int64_t TwiceKprofFromProfiles(const std::vector<std::int8_t>& a,
 }
 
 std::vector<std::int64_t> FProfileTwice(const BucketOrder& sigma) {
-  std::vector<std::int64_t> profile(sigma.n());
-  for (std::size_t e = 0; e < sigma.n(); ++e) {
-    profile[e] = sigma.TwicePosition(static_cast<ElementId>(e));
-  }
-  return profile;
+  return sigma.twice_position();
 }
 
 double Kavg(const BucketOrder& sigma, const BucketOrder& tau) {

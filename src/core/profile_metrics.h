@@ -14,8 +14,10 @@ namespace rankties {
 /// §3.1): discordant pairs cost 1, pairs tied in exactly one ranking cost p,
 /// pairs tied in both cost 0. K^(p) is a metric for p in [1/2, 1], a near
 /// metric for p in (0, 1/2), and not a distance measure at p = 0
-/// (Proposition 13). O(n log n). Every metric entry point in this header
-/// returns 0 on degenerate universes (n < 2): there are no pairs to count.
+/// (Proposition 13). O(n log n). The point forms here run the kernels of
+/// core/prepared.h on a function-local scratch. Every metric entry point
+/// in this header returns 0 on degenerate universes (n < 2): there are no
+/// pairs to count.
 double KendallP(const BucketOrder& sigma, const BucketOrder& tau, double p);
 
 /// K^(p) from precomputed pair counts; O(1).
@@ -25,8 +27,8 @@ double KendallPFromCounts(const PairCounts& counts, double p);
 /// 2*Kprof = 2*discordant + tied_sigma_only + tied_tau_only is integral.
 std::int64_t TwiceKprof(const BucketOrder& sigma, const BucketOrder& tau);
 
-/// 2*Kprof from precomputed pair counts; O(1). Shared by the legacy path
-/// above and the prepared kernels (core/prepared.h), so both paths are
+/// 2*Kprof from precomputed pair counts; O(1). Shared by the kernels
+/// (core/prepared.h) and the incremental count-delta engine, so both are
 /// bit-identical by construction.
 std::int64_t TwiceKprofFromCounts(const PairCounts& counts);
 

@@ -9,9 +9,8 @@ namespace rankties {
 TieProfile ProfileTies(const BucketOrder& order) {
   TieProfile profile;
   profile.num_buckets = order.num_buckets();
-  for (std::size_t b = 0; b < order.num_buckets(); ++b) {
-    profile.largest_bucket =
-        std::max(profile.largest_bucket, order.bucket(b).size());
+  for (const std::size_t size : order.Type()) {
+    profile.largest_bucket = std::max(profile.largest_bucket, size);
   }
   profile.avg_bucket_size =
       order.num_buckets() == 0

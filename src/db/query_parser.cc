@@ -1,5 +1,6 @@
 #include "db/query_parser.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -7,7 +8,8 @@ namespace rankties {
 
 namespace {
 
-// Parses "9" / "9.5"; consumed must cover the whole token.
+// Parses "9" / "9.5"; consumed must cover the whole token. NaN is refused
+// (it has no place in a ranking); +-inf is accepted.
 StatusOr<double> ParseNumber(const std::string& text,
                              const std::string& term) {
   if (text.empty()) {
@@ -21,7 +23,7 @@ StatusOr<double> ParseNumber(const std::string& text,
     return Status::InvalidArgument("bad number '" + text + "' in term '" +
                                    term + "'");
   }
-  if (consumed != text.size()) {
+  if (consumed != text.size() || std::isnan(value)) {
     return Status::InvalidArgument("bad number '" + text + "' in term '" +
                                    term + "'");
   }

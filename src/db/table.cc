@@ -315,7 +315,9 @@ StatusOr<Table> Table::FromCsv(const Schema& schema, const std::string& csv) {
         } catch (...) {
           return Status::InvalidArgument("bad numeric cell: '" + text + "'");
         }
-        if (consumed != text.size()) {
+        // NaN would break the strict weak order the rankings sort by;
+        // +-inf sorts, so it stays.
+        if (consumed != text.size() || std::isnan(number)) {
           return Status::InvalidArgument("bad numeric cell: '" + text + "'");
         }
         row.emplace_back(number);

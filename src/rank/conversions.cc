@@ -12,10 +12,15 @@ StatusOr<BucketOrder> QuantizeScores(const std::vector<double>& scores,
   if (!(granularity > 0)) {
     return Status::InvalidArgument("granularity must be positive");
   }
+  constexpr double kTwo63 = 9223372036854775808.0;
   std::vector<std::int64_t> keys(scores.size());
   for (std::size_t i = 0; i < scores.size(); ++i) {
     const double band = std::floor(scores[i] / granularity);
-    // Non-finite scores (e.g. nulls mapped to +inf) sort last in one band.
+    // Non-finite scores (e.g. nulls mapped to +inf) sort last in one band;
+    // a finite band must fit int64, or the cast below is UB.
+    if (std::isfinite(band) && (band < -kTwo63 || band >= kTwo63)) {
+      return Status::InvalidArgument("score band outside the int64 range");
+    }
     keys[i] = std::isfinite(band) ? static_cast<std::int64_t>(band)
                                   : std::numeric_limits<std::int64_t>::max();
   }

@@ -1,6 +1,7 @@
 #include "rank/io.h"
 
 #include <cctype>
+#include <charconv>
 #include <sstream>
 #include <utility>
 
@@ -17,9 +18,11 @@ StatusOr<BucketOrder> ParseBucketOrder(const std::string& text) {
     return Status::InvalidArgument("expected '['");
   }
   ++i;
-  std::vector<std::vector<ElementId>> buckets;
-  std::vector<ElementId> current;
-  std::size_t count = 0;
+  // Element ids in text order, and the bucket each one is listed in.
+  std::vector<ElementId> ids;
+  std::vector<BucketIndex> listed_in;
+  BucketIndex bucket = 0;
+  std::size_t bucket_size = 0;  // ids listed so far in `bucket`
   bool closed = false;
   bool pending_bucket = false;  // a '|' was seen, next bucket must be filled
   while (i < text.size()) {
@@ -27,7 +30,7 @@ StatusOr<BucketOrder> ParseBucketOrder(const std::string& text) {
     if (i >= text.size()) break;
     const char c = text[i];
     if (c == ']') {
-      if (pending_bucket && current.empty()) {
+      if (pending_bucket && bucket_size == 0) {
         return Status::InvalidArgument("empty bucket before ']'");
       }
       ++i;
@@ -35,11 +38,11 @@ StatusOr<BucketOrder> ParseBucketOrder(const std::string& text) {
       break;
     }
     if (c == '|') {
-      if (current.empty()) {
+      if (bucket_size == 0) {
         return Status::InvalidArgument("empty bucket before '|'");
       }
-      buckets.push_back(std::move(current));
-      current.clear();
+      ++bucket;
+      bucket_size = 0;
       pending_bucket = true;
       ++i;
       continue;
@@ -49,25 +52,35 @@ StatusOr<BucketOrder> ParseBucketOrder(const std::string& text) {
                                      c + "'");
     }
     ElementId value = 0;
-    while (i < text.size() &&
-           std::isdigit(static_cast<unsigned char>(text[i]))) {
-      value = value * 10 + (text[i] - '0');
-      ++i;
+    const auto [end, error] =
+        std::from_chars(text.data() + i, text.data() + text.size(), value);
+    if (error != std::errc()) {
+      return Status::InvalidArgument("element id out of range");
     }
-    current.push_back(value);
+    i = static_cast<std::size_t>(end - text.data());
+    ids.push_back(value);
+    listed_in.push_back(bucket);
+    ++bucket_size;
     pending_bucket = false;
-    ++count;
   }
   if (!closed) return Status::InvalidArgument("missing ']'");
   skip_ws();
   if (i != text.size()) {
     return Status::InvalidArgument("trailing characters after ']'");
   }
-  if (!current.empty()) buckets.push_back(std::move(current));
-  if (buckets.empty() && count == 0) {
-    return BucketOrder();  // "[]" is the empty-domain order
+  // n listed ids, each in [0, n) and none twice, cover {0..n-1}; "[]" is
+  // the empty-domain order.
+  const std::size_t n = ids.size();
+  std::vector<BucketIndex> bucket_of(n, -1);
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t e = static_cast<std::size_t>(ids[k]);
+    if (e >= n) return Status::InvalidArgument("element out of range [0, n)");
+    if (bucket_of[e] != -1) {
+      return Status::InvalidArgument("element appears in two buckets");
+    }
+    bucket_of[e] = listed_in[k];
   }
-  return BucketOrder::FromBuckets(count, std::move(buckets));
+  return BucketOrder::FromBucketIndex(std::move(bucket_of));
 }
 
 std::string FormatBucketOrders(const std::vector<BucketOrder>& orders) {

@@ -36,12 +36,9 @@ BucketOrder FinestCommonCoarsening(const BucketOrder& sigma,
   // smallest prefix length (at a bucket boundary) containing e.
   auto boundary_of = [](const BucketOrder& order) {
     std::vector<std::int64_t> f(order.n());
-    std::int64_t cumulative = 0;
-    for (std::size_t b = 0; b < order.num_buckets(); ++b) {
-      cumulative += static_cast<std::int64_t>(order.bucket(b).size());
-      for (ElementId e : order.bucket(b)) {
-        f[static_cast<std::size_t>(e)] = cumulative;
-      }
+    for (std::size_t e = 0; e < order.n(); ++e) {
+      const std::size_t b = static_cast<std::size_t>(order.bucket_of()[e]);
+      f[e] = static_cast<std::int64_t>(order.bucket_offset()[b + 1]);
     }
     return f;
   };
@@ -59,14 +56,8 @@ BucketOrder FinestCommonCoarsening(const BucketOrder& sigma,
     return f_sigma[static_cast<std::size_t>(a)] <
            f_sigma[static_cast<std::size_t>(b)];
   });
-  std::set<std::int64_t> tau_boundaries;
-  {
-    std::int64_t cumulative = 0;
-    for (std::size_t b = 0; b < tau.num_buckets(); ++b) {
-      cumulative += static_cast<std::int64_t>(tau.bucket(b).size());
-      tau_boundaries.insert(cumulative);
-    }
-  }
+  const std::set<std::int64_t> tau_boundaries(
+      tau.bucket_offset().begin() + 1, tau.bucket_offset().end());
 
   std::vector<std::int64_t> cuts;
   std::int64_t max_tau = 0;

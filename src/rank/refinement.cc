@@ -13,7 +13,7 @@ bool IsRefinementOf(const BucketOrder& sigma, const BucketOrder& tau) {
   // sequence of containing tau-buckets must be non-decreasing.
   BucketIndex prev_tau_bucket = -1;
   for (std::size_t b = 0; b < sigma.num_buckets(); ++b) {
-    const std::vector<ElementId>& bucket = sigma.bucket(b);
+    const std::span<const ElementId> bucket = sigma.bucket(b);
     const BucketIndex tb = tau.BucketOf(bucket.front());
     for (ElementId e : bucket) {
       if (tau.BucketOf(e) != tb) return false;
@@ -76,7 +76,8 @@ bool EnumerateBuckets(const BucketOrder& sigma, std::size_t b,
     RANKTIES_DCHECK_OK(perm);
     return visit(perm.value());
   }
-  std::vector<ElementId> bucket = sigma.bucket(b);  // ascending => first perm
+  // Ascending, so the first permutation.
+  std::vector<ElementId> bucket(sigma.bucket(b).begin(), sigma.bucket(b).end());
   const std::size_t base = prefix.size();
   prefix.resize(base + bucket.size());
   do {
@@ -117,7 +118,8 @@ Permutation RandomFullRefinement(const BucketOrder& sigma, Rng& rng) {
   std::vector<ElementId> order;
   order.reserve(sigma.n());
   for (std::size_t b = 0; b < sigma.num_buckets(); ++b) {
-    std::vector<ElementId> bucket = sigma.bucket(b);
+    std::vector<ElementId> bucket(sigma.bucket(b).begin(),
+                                  sigma.bucket(b).end());
     rng.Shuffle(bucket);
     order.insert(order.end(), bucket.begin(), bucket.end());
   }

@@ -31,7 +31,7 @@ void NextBucket(const BucketOrder& sigma, std::size_t b,
     visit(prefix);
     return;
   }
-  std::vector<ElementId> pool = sigma.bucket(b);
+  std::vector<ElementId> pool(sigma.bucket(b).begin(), sigma.bucket(b).end());
   PermuteTail(sigma, b, pool, 0, prefix, visit);
 }
 

@@ -8,6 +8,7 @@
 #include "core/cost.h"
 #include "gen/mallows.h"
 #include "gen/random_orders.h"
+#include "ref/per_pair.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -101,13 +102,13 @@ TEST_F(BatchEngineTest, TiledMatrixMatchesUnpreparedAcrossTileEdges) {
         MakeLists(m, 12, 100 + static_cast<std::uint64_t>(m));
     for (MetricKind kind : AllMetricKinds()) {
       ThreadPool::SetGlobalThreads(1);
-      const auto reference = DistanceMatrixUnprepared(kind, lists);
+      const auto reference = ref::DistanceMatrixUnprepared(kind, lists);
       EXPECT_EQ(DistanceMatrix(kind, lists), reference)
           << MetricName(kind) << " m=" << m << " serial";
       ThreadPool::SetGlobalThreads(7);
       EXPECT_EQ(DistanceMatrix(kind, lists), reference)
           << MetricName(kind) << " m=" << m << " 7 threads";
-      EXPECT_EQ(DistanceMatrixUnprepared(kind, lists), reference)
+      EXPECT_EQ(ref::DistanceMatrixUnprepared(kind, lists), reference)
           << MetricName(kind) << " m=" << m << " unprepared, 7 threads";
     }
   }

@@ -9,6 +9,22 @@
 namespace rankties {
 namespace {
 
+// Checks the five flat arrays of `order` against hand-computed values, and
+// Validate().
+void ExpectFlat(const BucketOrder& order,
+                const std::vector<BucketIndex>& bucket_of,
+                const std::vector<ElementId>& by_bucket,
+                const std::vector<std::size_t>& bucket_offset,
+                const std::vector<std::int64_t>& twice_position,
+                std::int64_t tied_pairs) {
+  EXPECT_EQ(order.bucket_of(), bucket_of);
+  EXPECT_EQ(order.by_bucket(), by_bucket);
+  EXPECT_EQ(order.bucket_offset(), bucket_offset);
+  EXPECT_EQ(order.twice_position(), twice_position);
+  EXPECT_EQ(order.tied_pairs(), tied_pairs);
+  EXPECT_TRUE(order.Validate().ok()) << order.Validate();
+}
+
 TEST(BucketOrderTest, FromBucketsBasic) {
   auto order = BucketOrder::FromBuckets(5, {{1, 0}, {2}, {3, 4}});
   ASSERT_TRUE(order.ok());
@@ -20,7 +36,50 @@ TEST(BucketOrderTest, FromBucketsBasic) {
   EXPECT_EQ(order->BucketOf(3), 2);
   EXPECT_EQ(order->BucketOf(4), 2);
   // Buckets store elements ascending regardless of input order.
-  EXPECT_EQ(order->bucket(0), (std::vector<ElementId>{0, 1}));
+  const std::span<const ElementId> front = order->bucket(0);
+  EXPECT_EQ(std::vector<ElementId>(front.begin(), front.end()),
+            (std::vector<ElementId>{0, 1}));
+}
+
+TEST(BucketOrderFlatTest, FactoriesBuildHandComputedArrays) {
+  ExpectFlat(BucketOrder(), {}, {}, {0}, {}, 0);
+  ExpectFlat(BucketOrder::SingleBucket(0), {}, {}, {0}, {}, 0);
+  // [2 5 | 0 | 1 3 4]: doubled positions 3, 6 and 10.
+  ExpectFlat(BucketOrder::FromBuckets(6, {{5, 2}, {0}, {4, 1, 3}}).value(),
+             {1, 2, 0, 2, 2, 0}, {2, 5, 0, 1, 3, 4}, {0, 2, 3, 6},
+             {6, 10, 3, 10, 10, 3}, 1 + 0 + 3);
+  // [1 3 | 2 | 0].
+  ExpectFlat(BucketOrder::FromBucketIndex({2, 0, 1, 0}).value(),
+             {2, 0, 1, 0}, {1, 3, 2, 0}, {0, 2, 3, 4}, {8, 3, 6, 3}, 1);
+  const Permutation perm = Permutation::FromOrder({2, 0, 1}).value();
+  ExpectFlat(BucketOrder::FromPermutation(perm), {1, 2, 0}, {2, 0, 1},
+             {0, 1, 2, 3}, {4, 6, 2}, 0);
+  ExpectFlat(BucketOrder::SingleBucket(3), {0, 0, 0}, {0, 1, 2}, {0, 3},
+             {4, 4, 4}, 3);
+  // Top-2 of 3 1 0 2 and the scores that induce the same [3 | 1 | 0 2].
+  const Permutation top = Permutation::FromOrder({3, 1, 0, 2}).value();
+  ExpectFlat(BucketOrder::TopKOf(top, 2), {2, 1, 2, 0}, {3, 1, 0, 2},
+             {0, 1, 2, 4}, {7, 4, 7, 2}, 1);
+  ExpectFlat(BucketOrder::FromScores({3.5, 1.0, 3.5, 0.5}), {2, 1, 2, 0},
+             {3, 1, 0, 2}, {0, 1, 2, 4}, {7, 4, 7, 2}, 1);
+  ExpectFlat(BucketOrder::FromIntKeys({5, 5, -1}), {1, 1, 0}, {2, 0, 1},
+             {0, 1, 3}, {5, 5, 2}, 1);
+}
+
+TEST(BucketOrderFlatTest, ReverseAndRestrictToBuildHandComputedArrays) {
+  const BucketOrder order =
+      BucketOrder::FromBuckets(6, {{2, 5}, {0}, {1, 3, 4}}).value();
+  // [1 3 4 | 0 | 2 5].
+  ExpectFlat(order.Reverse(), {1, 0, 2, 0, 0, 2}, {1, 3, 4, 0, 2, 5},
+             {0, 3, 4, 6}, {8, 4, 11, 4, 4, 11}, 3 + 0 + 1);
+  // Every bucket survives: new ids 0, 1, 2 are old 4, 0, 5.
+  ExpectFlat(order.RestrictTo({4, 0, 5}).value(), {2, 1, 0}, {2, 1, 0},
+             {0, 1, 2, 3}, {6, 4, 2}, 0);
+  // The middle bucket drops out: old 5, 4, 2 give [0 2 | 1].
+  ExpectFlat(order.RestrictTo({5, 4, 2}).value(), {0, 1, 0}, {0, 2, 1},
+             {0, 2, 3}, {3, 6, 3}, 1);
+  ExpectFlat(order.RestrictTo({3, 1}).value(), {0, 0}, {0, 1}, {0, 2},
+             {3, 3}, 1);
 }
 
 TEST(BucketOrderTest, PositionsMatchPaperDefinition) {
@@ -144,6 +203,8 @@ TEST(BucketOrderTest, ParseRejectsMalformed) {
   EXPECT_FALSE(ParseBucketOrder("[0 2]").ok());      // non-contiguous ids
   EXPECT_FALSE(ParseBucketOrder("[0 1] x").ok());    // trailing junk
   EXPECT_FALSE(ParseBucketOrder("[0 1").ok());       // unterminated
+  EXPECT_EQ(ParseBucketOrder("[99999999999]").status().code(),
+            StatusCode::kInvalidArgument);  // id overflows ElementId
 }
 
 TEST(BucketOrderTest, FormatAndParseMany) {

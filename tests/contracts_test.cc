@@ -66,8 +66,8 @@ TEST(ContractsDeathTest, DcheckOkFiresOnPlainErrorStatus) {
 }
 
 TEST(ContractsDeathTest, PreparedKernelRejectsDomainMismatch) {
-  const PreparedRanking sigma(BucketOrder::SingleBucket(3));
-  const PreparedRanking tau(BucketOrder::SingleBucket(4));
+  const BucketOrder sigma = BucketOrder::SingleBucket(3);
+  const BucketOrder tau = BucketOrder::SingleBucket(4);
   PairScratch scratch;
   EXPECT_DEATH(static_cast<void>(ComputePairCounts(sigma, tau, scratch)),
                "contract violation");

@@ -24,6 +24,9 @@ TEST(QuantizeScoresTest, BandsAndValidation) {
   EXPECT_EQ(order->ToString(), "[0 1 | 2 | 3]");
   EXPECT_FALSE(QuantizeScores({1.0}, 0.0).ok());
   EXPECT_FALSE(QuantizeScores({1.0}, -3.0).ok());
+  // A band past the int64 range would make the key cast UB.
+  EXPECT_EQ(QuantizeScores({1e300}, 1.0).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(QuantizeScoresTest, NonFiniteScoresSortLast) {

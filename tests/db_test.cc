@@ -149,6 +149,8 @@ TEST(TableTest, CsvRejectsMalformed) {
   EXPECT_FALSE(Table::FromCsv(schema, "").ok());               // no header
   EXPECT_FALSE(Table::FromCsv(schema, "y\n1\n").ok());         // bad header
   EXPECT_FALSE(Table::FromCsv(schema, "x\nabc\n").ok());       // bad number
+  EXPECT_FALSE(Table::FromCsv(schema, "x\nnan\n").ok());       // NaN
+  EXPECT_TRUE(Table::FromCsv(schema, "x\n-inf\n").ok());       // sorts
   EXPECT_FALSE(Table::FromCsv(schema, "x\n1,2\n").ok());       // arity
   EXPECT_FALSE(Table::FromCsv(schema, "x\n\"1\n").ok());       // quote
   EXPECT_TRUE(Table::FromCsv(schema, "x\n\n1.5\n").ok());      // blank line

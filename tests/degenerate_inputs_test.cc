@@ -22,6 +22,7 @@
 #include "obs/obs.h"
 #include "rank/bucket_order.h"
 #include "rank/permutation.h"
+#include "ref/per_pair.h"
 #include "ref/ref_metrics.h"
 #include "util/rng.h"
 
@@ -32,8 +33,9 @@ void ExpectAllMetricsZero(const BucketOrder& sigma, const BucketOrder& tau) {
   EXPECT_EQ(TwiceKprof(sigma, tau), 0);
   EXPECT_EQ(TwiceFprof(sigma, tau), 0);
   EXPECT_EQ(KHausdorff(sigma, tau), 0);
-  EXPECT_EQ(KHausdorffTheorem5(sigma, tau), 0);
+  EXPECT_EQ(ref::KHausdorffTheorem5(sigma, tau), 0);
   EXPECT_EQ(TwiceFHausdorff(sigma, tau), 0);
+  EXPECT_EQ(ref::TwiceFHausdorffTheorem5(sigma, tau), 0);
   for (double p : {0.0, 0.25, 0.5, 1.0}) {
     const double kp = KendallP(sigma, tau, p);
     EXPECT_EQ(kp, 0.0) << "p=" << p;

@@ -17,6 +17,7 @@
 #include "core/prepared.h"
 #include "core/profile_metrics.h"
 #include "rank/refinement.h"
+#include "ref/per_pair.h"
 #include "ref/ref_metrics.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -81,7 +82,7 @@ void CheckDifferential(const FuzzCase& c, const DriverOptions& options,
 
   // The two optimized Hausdorff-Kendall paths agree at any size.
   ExpectEq(c, "Prop6-vs-Thm5", KHausdorff(sigma, tau),
-           KHausdorffTheorem5(sigma, tau), stats);
+           ref::KHausdorffTheorem5(sigma, tau), stats);
 
   // The exponential enumeration oracle, where the budget allows.
   if (ref::RefinementPairCount(sigma, tau) <= options.enumeration_budget) {
@@ -99,31 +100,29 @@ void CheckDifferential(const FuzzCase& c, const DriverOptions& options,
              ref::ComputeMetric(kind, sigma, tau), stats);
   }
 
-  // The zero-allocation prepared kernels agree with the legacy BucketOrder
-  // paths bit-for-bit on every family. The scratch is deliberately shared
-  // across all fuzz cases (static, one fuzz thread) so reuse across wildly
-  // varying n and bucket counts is itself under test.
+  // The zero-allocation kernels agree with the per-pair oracle tier
+  // (src/ref/per_pair.h) bit-for-bit on every family. The scratch is
+  // deliberately shared across all fuzz cases (static, one fuzz thread) so
+  // reuse across wildly varying n and bucket counts is itself under test.
   {
     static PairScratch scratch;
-    const PreparedRanking ps(sigma);
-    const PreparedRanking pt(tau);
+    const PairCounts counts = ref::ComputePairCounts(sigma, tau);
     ++stats->comparisons;
-    if (!(ComputePairCounts(ps, pt, scratch) ==
-          ComputePairCounts(sigma, tau))) {
+    if (!(ComputePairCounts(sigma, tau, scratch) == counts)) {
       Fail(c, "prepared-pair-counts",
-           "prepared and legacy pair classification disagree", stats);
+           "kernel and per-pair pair classification disagree", stats);
     }
-    ExpectEq(c, "prepared-Kprof", TwiceKprof(ps, pt, scratch),
-             TwiceKprof(sigma, tau), stats);
-    ExpectEq(c, "prepared-KHaus", KHausdorff(ps, pt, scratch),
-             KHausdorff(sigma, tau), stats);
-    ExpectEq(c, "prepared-Fprof", TwiceFprof(ps, pt),
-             TwiceFprof(sigma, tau), stats);
-    ExpectEq(c, "prepared-FHaus", TwiceFHausdorff(ps, pt, scratch),
-             TwiceFHausdorff(sigma, tau), stats);
+    ExpectEq(c, "prepared-Kprof", TwiceKprof(sigma, tau, scratch),
+             TwiceKprofFromCounts(counts), stats);
+    ExpectEq(c, "prepared-KHaus", KHausdorff(sigma, tau, scratch),
+             KHausdorffFromCounts(counts), stats);
+    ExpectEq(c, "prepared-Fprof", TwiceFprof(sigma, tau),
+             ref::TwiceFprofByPosition(sigma, tau), stats);
+    ExpectEq(c, "prepared-FHaus", TwiceFHausdorff(sigma, tau, scratch),
+             ref::TwiceFHausdorffTheorem5(sigma, tau), stats);
     for (double p : kPenaltyGrid) {
-      ExpectEq(c, "prepared-KendallP", KendallP(ps, pt, p, scratch),
-               KendallP(sigma, tau, p), stats);
+      ExpectEq(c, "prepared-KendallP", KendallP(sigma, tau, p, scratch),
+               KendallPFromCounts(counts, p), stats);
     }
   }
 
@@ -349,7 +348,7 @@ void CheckBatchEngine(const std::vector<BucketOrder>& lists,
       }
       // The legacy per-pair engine stays the prepared engine's oracle.
       const std::vector<std::vector<double>> unprepared =
-          DistanceMatrixUnprepared(kind, lists);
+          ref::DistanceMatrixUnprepared(kind, lists);
       ++stats->comparisons;
       if (unprepared != expected) {
         Fail(label, "batch-matrix-unprepared",

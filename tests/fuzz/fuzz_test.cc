@@ -44,6 +44,7 @@
 #include "gen/random_orders.h"
 #include "obs/obs.h"
 #include "rank/refinement.h"
+#include "ref/per_pair.h"
 #include "util/rng.h"
 
 namespace rankties::fuzz {
@@ -125,12 +126,12 @@ TEST(FuzzHarnessTest, DifferentialAndMetamorphicSweep) {
 }
 
 // The mutation-trace family: seeded random edit scripts through every
-// delta path — PreparedRanking in-place edits, IncrementalDistanceMatrix
+// delta path — BucketOrder in-place edits, IncrementalDistanceMatrix
 // count/row maintenance for all four metrics, OnlineMedianAggregator
 // voter updates and withdrawals — each step cross-checked bit-exactly
-// against a full recompute (fresh freeze, DistanceMatrix, src/ref oracle,
-// batch median). Trace count scales with the case window so the default
-// CI window lands well past the 1,000-step acceptance floor.
+// against a full recompute (fresh FromBuckets build, DistanceMatrix, src/ref
+// oracle, batch median). Trace count scales with the case window so the
+// default CI window lands well past the 1,000-step acceptance floor.
 TEST(FuzzHarnessTest, MutationTraceSweep) {
   DriverOptions options;
   // Traces re-consult the enumeration oracle after every step of a small
@@ -205,7 +206,7 @@ TEST(Theorem5AgreementTest, FormulaMatchesConstructionsOn1000Pairs) {
     const BucketOrder sigma = RandomBucketOrder(n, rng);
     const BucketOrder tau = RandomBucketOrder(n, rng);
     const std::int64_t formula = KHausdorff(sigma, tau);
-    ASSERT_EQ(formula, KHausdorffTheorem5(sigma, tau))
+    ASSERT_EQ(formula, ref::KHausdorffTheorem5(sigma, tau))
         << "trial " << trial << " n=" << n;
 
     const Permutation anchor(n);  // rho: an arbitrary full ranking

@@ -16,6 +16,7 @@
 #include "core/profile_metrics.h"
 #include "gen/random_orders.h"
 #include "rank/bucket_order.h"
+#include "ref/per_pair.h"
 #include "ref/ref_metrics.h"
 #include "util/contracts.h"
 #include "util/rng.h"
@@ -56,11 +57,15 @@ void ExpectTrue(std::uint64_t seed, std::int64_t step, const char* property,
 //
 // The ground truth is maintained as a plain bucket list-of-lists through
 // code deliberately independent of the delta paths under test: every edit
-// rebuilds a BucketOrder via the ordinary FromBuckets factory, and the
-// comparison freeze is a from-scratch PreparedRanking construction.
+// rebuilds a BucketOrder via the ordinary FromBuckets factory, and that
+// from-scratch build is what the delta-edited arrays are compared against.
 
 std::vector<std::vector<ElementId>> BucketsOf(const BucketOrder& order) {
-  return order.buckets();
+  std::vector<std::vector<ElementId>> buckets;
+  for (std::size_t b = 0; b < order.num_buckets(); ++b) {
+    buckets.emplace_back(order.bucket(b).begin(), order.bucket(b).end());
+  }
+  return buckets;
 }
 
 BucketOrder FromBucketsChecked(std::size_t n,
@@ -138,21 +143,18 @@ BucketOrder TruthEraseItem(const BucketOrder& order, ElementId e) {
 
 // --- Per-step assertions ----------------------------------------------
 
-// The delta-maintained prepared form must equal a from-scratch freeze of
-// the ground truth, array for array.
+// The delta-maintained ranking must equal the from-scratch FromBuckets
+// build of the ground truth, array for array.
 void CheckPreparedEquals(std::uint64_t seed, std::int64_t step,
-                         const PreparedRanking& live, const BucketOrder& truth,
+                         const BucketOrder& live, const BucketOrder& truth,
                          CheckStats* stats) {
-  const PreparedRanking fresh(truth);
   ExpectTrue(seed, step, "prepared-arrays",
-             live.bucket_of() == fresh.bucket_of() &&
-                 live.by_bucket() == fresh.by_bucket() &&
-                 live.bucket_offset() == fresh.bucket_offset() &&
-                 live.twice_position() == fresh.twice_position() &&
-                 live.tied_pairs() == fresh.tied_pairs(),
-             "delta-edited freeze diverges from fresh freeze", stats);
-  ExpectTrue(seed, step, "prepared-thaw", live.ToBucketOrder() == truth,
-             "ToBucketOrder round trip diverges from ground truth", stats);
+             live.bucket_of() == truth.bucket_of() &&
+                 live.by_bucket() == truth.by_bucket() &&
+                 live.bucket_offset() == truth.bucket_offset() &&
+                 live.twice_position() == truth.twice_position() &&
+                 live.tied_pairs() == truth.tied_pairs(),
+             "delta-edited arrays diverge from a fresh build", stats);
 }
 
 // Row `list` of the maintained matrix against the src/ref oracle (and the
@@ -185,7 +187,7 @@ void CheckRowAgainstOracle(std::uint64_t seed, std::int64_t step,
           // Beyond the enumeration budget the independent oracle is the
           // Theorem 5 refinement construction.
           want = static_cast<double>(
-              KHausdorffTheorem5(truth[list], truth[j]));
+              ref::KHausdorffTheorem5(truth[list], truth[j]));
         }
         break;
       case MetricKind::kFHaus:
@@ -196,10 +198,11 @@ void CheckRowAgainstOracle(std::uint64_t seed, std::int64_t step,
                      ref::TwiceFHausdorff(truth[list], truth[j])) /
                  2.0;
         } else {
-          // FHausdorff(BucketOrder) is the explicit Theorem 5
-          // construction, kept in-tree as the oracle for the prepared
+          // The explicit Theorem 5 construction, the oracle for the
           // kernel this engine runs.
-          want = FHausdorff(truth[list], truth[j]);
+          want = static_cast<double>(ref::TwiceFHausdorffTheorem5(
+                     truth[list], truth[j])) /
+                 2.0;
         }
         break;
       default:
@@ -213,7 +216,7 @@ void CheckRowAgainstOracle(std::uint64_t seed, std::int64_t step,
   }
 }
 
-// The whole maintained matrix against a full prepared-kernel recompute.
+// The whole maintained matrix against a full kernel recompute.
 void CheckMatrixEquals(std::uint64_t seed, std::int64_t step,
                        const IncrementalDistanceMatrix& engine,
                        const std::vector<BucketOrder>& truth,
@@ -368,7 +371,7 @@ void CheckPreparedEditTrace(std::uint64_t seed, std::size_t steps,
   Rng rng(seed);
   BucketOrder truth =
       RandomBucketOrder(static_cast<std::size_t>(rng.UniformInt(2, 12)), rng);
-  PreparedRanking live(truth);
+  BucketOrder live = truth;
   for (std::size_t s = 0; s < steps; ++s) {
     const std::int64_t step = static_cast<std::int64_t>(s);
     const std::size_t n = truth.n();

@@ -6,10 +6,10 @@
 #include "fuzz/differential.h"
 
 /// The mutation-trace fuzz family (incremental engines): seeded random edit
-/// scripts applied through every delta path — PreparedRanking in-place
+/// scripts applied through every delta path — BucketOrder in-place
 /// edits, IncrementalDistanceMatrix row/count maintenance, and
 /// OnlineMedianAggregator voter updates — asserting bit-exact agreement
-/// with a full from-scratch recompute (prepared kernels, batch engine, and
+/// with a full from-scratch recompute (kernels, batch engine, and
 /// the src/ref oracle) after *every* step. A trace that diverges reports
 /// the trace seed; replay with `fuzz_test --seed=<s>` is not applicable
 /// here (traces are a separate sweep), so messages carry the trace seed
@@ -20,7 +20,7 @@ namespace rankties::fuzz {
 /// IncrementalDistanceMatrix for all four metrics, and an
 /// OnlineMedianAggregator, driven through `steps` seeded moves
 /// (MoveToBucket / MoveToNewBucket / occasional ReplaceList). After every
-/// step: the delta-maintained prepared arrays equal a fresh freeze of the
+/// step: the delta-maintained flat arrays equal a fresh build of the
 /// ground truth, every matrix equals DistanceMatrix over the ground truth
 /// bit-for-bit, the mutated row matches the src/ref oracle (enumeration
 /// oracles within options.enumeration_budget), and the online median
@@ -30,10 +30,10 @@ namespace rankties::fuzz {
 void CheckMutationTrace(std::uint64_t seed, std::size_t steps,
                         const DriverOptions& options, CheckStats* stats);
 
-/// One single-ranking trace over all four PreparedRanking delta ops —
+/// One single-ranking trace over all four BucketOrder delta ops —
 /// InsertItem / EraseItem included, which change the universe size — each
-/// step asserting array-for-array equality with PreparedRanking(ground
-/// truth) and a ToBucketOrder round trip.
+/// step asserting array-for-array equality with a fresh FromBuckets build
+/// of the ground truth.
 void CheckPreparedEditTrace(std::uint64_t seed, std::size_t steps,
                             CheckStats* stats);
 

@@ -7,6 +7,7 @@
 #include "core/pair_counts.h"
 #include "gen/random_orders.h"
 #include "rank/refinement.h"
+#include "ref/per_pair.h"
 #include "util/rng.h"
 
 namespace rankties {
@@ -46,7 +47,7 @@ TEST(HausdorffTest, Proposition6MatchesTheorem5) {
     for (int trial = 0; trial < 30; ++trial) {
       const BucketOrder sigma = RandomBucketOrder(n, rng);
       const BucketOrder tau = RandomBucketOrder(n, rng);
-      EXPECT_EQ(KHausdorff(sigma, tau), KHausdorffTheorem5(sigma, tau))
+      EXPECT_EQ(KHausdorff(sigma, tau), ref::KHausdorffTheorem5(sigma, tau))
           << "n=" << n;
     }
   }
@@ -67,6 +68,9 @@ TEST_P(HausdorffBruteParityTest, Theorem5MatchesBruteForce) {
       continue;  // keep brute force cheap
     }
     EXPECT_EQ(KHausdorff(sigma, tau), KHausdorffBrute(sigma, tau))
+        << sigma.ToString() << " vs " << tau.ToString();
+    EXPECT_EQ(ref::TwiceFHausdorffTheorem5(sigma, tau),
+              2 * FHausdorffBrute(sigma, tau))
         << sigma.ToString() << " vs " << tau.ToString();
     EXPECT_EQ(TwiceFHausdorff(sigma, tau), 2 * FHausdorffBrute(sigma, tau))
         << sigma.ToString() << " vs " << tau.ToString();

@@ -1,4 +1,4 @@
-// Unit tests for the incremental engines: PreparedRanking delta
+// Unit tests for the incremental engines: BucketOrder delta
 // operations, IncrementalDistanceMatrix row/count maintenance, and
 // the delta-aware OnlineMedianAggregator — hand-built cases with known
 // answers plus seeded randomized agreement with the batch engines. The
@@ -14,7 +14,6 @@
 
 #include "core/batch_engine.h"
 #include "core/metric_registry.h"
-#include "core/prepared.h"
 #include "gen/random_orders.h"
 #include "rank/bucket_order.h"
 #include "util/rng.h"
@@ -29,19 +28,20 @@ BucketOrder Make(std::size_t n,
   return *order;
 }
 
-void ExpectFrozenEqual(const PreparedRanking& got, const BucketOrder& want) {
-  const PreparedRanking fresh(want);
-  EXPECT_EQ(got.bucket_of(), fresh.bucket_of());
-  EXPECT_EQ(got.by_bucket(), fresh.by_bucket());
-  EXPECT_EQ(got.bucket_offset(), fresh.bucket_offset());
-  EXPECT_EQ(got.twice_position(), fresh.twice_position());
-  EXPECT_EQ(got.tied_pairs(), fresh.tied_pairs());
-  EXPECT_EQ(got.ToBucketOrder(), want);
+// A delta-edited ranking equals a fresh FromBuckets build of the expected
+// partition array for array.
+void ExpectFrozenEqual(const BucketOrder& got, const BucketOrder& want) {
+  EXPECT_EQ(got.bucket_of(), want.bucket_of());
+  EXPECT_EQ(got.by_bucket(), want.by_bucket());
+  EXPECT_EQ(got.bucket_offset(), want.bucket_offset());
+  EXPECT_EQ(got.twice_position(), want.twice_position());
+  EXPECT_EQ(got.tied_pairs(), want.tied_pairs());
+  EXPECT_TRUE(got.Validate().ok()) << got.Validate();
 }
 
 TEST(PreparedDeltaTest, MoveToBucketMatchesFreshFreeze) {
   // [0 1 | 2 | 3 4] with a forward move, a backward move, and a no-op.
-  PreparedRanking live(Make(5, {{0, 1}, {2}, {3, 4}}));
+  BucketOrder live = Make(5, {{0, 1}, {2}, {3, 4}});
   ASSERT_TRUE(live.MoveToBucket(0, 2).ok());
   ExpectFrozenEqual(live, Make(5, {{1}, {2}, {0, 3, 4}}));
   ASSERT_TRUE(live.MoveToBucket(4, 0).ok());
@@ -53,7 +53,7 @@ TEST(PreparedDeltaTest, MoveToBucketMatchesFreshFreeze) {
 TEST(PreparedDeltaTest, MoveToBucketCollapsesEmptiedSource) {
   // Moving the singleton middle bucket's element away removes the bucket
   // and shifts every later bucket down one index.
-  PreparedRanking live(Make(4, {{0}, {1}, {2, 3}}));
+  BucketOrder live = Make(4, {{0}, {1}, {2, 3}});
   ASSERT_TRUE(live.MoveToBucket(1, 2).ok());
   ExpectFrozenEqual(live, Make(4, {{0}, {1, 2, 3}}));
   EXPECT_EQ(live.num_buckets(), 2u);
@@ -68,12 +68,12 @@ TEST(PreparedDeltaTest, MoveToNewBucketAllPositions) {
       {{0, 1}, {2}, {3}},  // before = 2 (append)
   };
   for (std::size_t before = 0; before < want_by_before.size(); ++before) {
-    PreparedRanking live(Make(4, {{0, 1}, {2, 3}}));
+    BucketOrder live = Make(4, {{0, 1}, {2, 3}});
     ASSERT_TRUE(live.MoveToNewBucket(3, before).ok()) << "before=" << before;
     ExpectFrozenEqual(live, Make(4, want_by_before[before]));
   }
   // Past num_buckets() is out of range.
-  PreparedRanking live(Make(4, {{0, 1}, {2, 3}}));
+  BucketOrder live = Make(4, {{0, 1}, {2, 3}});
   EXPECT_FALSE(live.MoveToNewBucket(3, 3).ok());
 }
 
@@ -81,7 +81,7 @@ TEST(PreparedDeltaTest, MoveToNewBucketRelocatesSingleton) {
   // The net-bucket-count-unchanged case: e is already a singleton and the
   // new singleton lands elsewhere (this is the path where a naive suffix
   // collapse would corrupt untouched bucket assignments).
-  PreparedRanking live(Make(4, {{0}, {1, 2}, {3}}));
+  BucketOrder live = Make(4, {{0}, {1, 2}, {3}});
   ASSERT_TRUE(live.MoveToNewBucket(0, 3).ok());  // append after the last
   ExpectFrozenEqual(live, Make(4, {{1, 2}, {3}, {0}}));
   ASSERT_TRUE(live.MoveToNewBucket(3, 0).ok());
@@ -93,19 +93,19 @@ TEST(PreparedDeltaTest, MoveToNewBucketRelocatesSingleton) {
 }
 
 TEST(PreparedDeltaTest, InsertItemGrowsDomain) {
-  PreparedRanking live(Make(3, {{0, 2}, {1}}));
+  BucketOrder live = Make(3, {{0, 2}, {1}});
   ASSERT_TRUE(live.InsertItem(0).ok());  // fresh id 3 joins bucket 0
   ExpectFrozenEqual(live, Make(4, {{0, 2, 3}, {1}}));
   ASSERT_TRUE(live.InsertItem(1).ok());
   ExpectFrozenEqual(live, Make(5, {{0, 2, 3}, {1, 4}}));
 
-  PreparedRanking empty;
+  BucketOrder empty;
   ASSERT_TRUE(empty.InsertItem(0).ok());  // empty domain: element 0 appears
   ExpectFrozenEqual(empty, Make(1, {{0}}));
 }
 
 TEST(PreparedDeltaTest, EraseItemRenumbersAndCollapses) {
-  PreparedRanking live(Make(5, {{0, 3}, {1}, {2, 4}}));
+  BucketOrder live = Make(5, {{0, 3}, {1}, {2, 4}});
   ASSERT_TRUE(live.EraseItem(1).ok());  // empties the middle bucket
   // Ids above 1 shift down: {0 2} | {1 3}.
   ExpectFrozenEqual(live, Make(4, {{0, 2}, {1, 3}}));
@@ -121,7 +121,7 @@ TEST(PreparedDeltaTest, EraseItemRenumbersAndCollapses) {
 
 TEST(PreparedDeltaTest, FailedEditsLeaveRankingUntouched) {
   const BucketOrder original = Make(3, {{0}, {1, 2}});
-  PreparedRanking live(original);
+  BucketOrder live = original;
   EXPECT_FALSE(live.MoveToBucket(5, 0).ok());     // element out of range
   EXPECT_FALSE(live.MoveToBucket(0, 2).ok());     // bucket out of range
   EXPECT_FALSE(live.MoveToNewBucket(-1, 0).ok());
@@ -163,7 +163,7 @@ TEST_P(IncrementalMatrixTest, TracksDistanceMatrixUnderMoves) {
       ASSERT_TRUE(engine->MoveToNewBucket(list, e, before).ok());
     }
     if (engine->List(list).bucket_of() != before_edit) ++effective_edits;
-    lists[list] = engine->List(list).ToBucketOrder();
+    lists[list] = engine->List(list);
     ASSERT_EQ(engine->Matrix(), DistanceMatrix(kind, lists)) << "step "
                                                              << step;
   }

@@ -6,11 +6,11 @@
 namespace rankties {
 
 struct FakeOrder {
-  std::vector<int> buckets_;
+  std::vector<long> twice_pos_;
 };
 
-void ClobberBuckets(FakeOrder& order) {
-  order.buckets_.clear();
+void ClobberPositions(FakeOrder& order) {
+  order.twice_pos_.clear();
 }
 
 }  // namespace rankties

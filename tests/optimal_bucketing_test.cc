@@ -176,7 +176,9 @@ TEST(OptimalBucketingTest, ClusteredScoresMergeIntoBuckets) {
   auto result = OptimalBucketing(scores, BucketingAlgorithm::kAuto);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->order.num_buckets(), 2u);
-  EXPECT_EQ(result->order.bucket(0), (std::vector<ElementId>{0, 1, 2}));
+  const std::span<const ElementId> front = result->order.bucket(0);
+  EXPECT_EQ(std::vector<ElementId>(front.begin(), front.end()),
+            (std::vector<ElementId>{0, 1, 2}));
 }
 
 }  // namespace

@@ -8,10 +8,12 @@
 
 #include "core/footrule.h"
 #include "core/hausdorff.h"
+#include "core/metric_registry.h"
 #include "core/pair_counts.h"
 #include "core/profile_metrics.h"
 #include "gen/random_orders.h"
 #include "rank/bucket_order.h"
+#include "ref/per_pair.h"
 #include "util/rng.h"
 
 // Allocation-counting hook for the zero-allocation contract of the prepared
@@ -72,59 +74,57 @@ std::vector<BucketOrder> MixedOrders(Rng& rng) {
   return orders;
 }
 
+// The kernels against the per-pair oracle tier (src/ref/per_pair.h), and
+// the two-argument point forms against the kernels.
 void ExpectPreparedMatchesLegacy(const BucketOrder& sigma,
                                  const BucketOrder& tau,
                                  PairScratch& scratch) {
-  const PreparedRanking ps(sigma);
-  const PreparedRanking pt(tau);
-  const PairCounts expected = ComputePairCounts(sigma, tau);
-  EXPECT_EQ(ComputePairCounts(ps, pt, scratch), expected);
-  EXPECT_EQ(TwiceKprof(ps, pt, scratch), TwiceKprof(sigma, tau));
-  EXPECT_EQ(Kprof(ps, pt, scratch), Kprof(sigma, tau));
-  EXPECT_EQ(KHausdorff(ps, pt, scratch), KHausdorff(sigma, tau));
-  EXPECT_EQ(TwiceFprof(ps, pt), TwiceFprof(sigma, tau));
-  EXPECT_EQ(Fprof(ps, pt), Fprof(sigma, tau));
-  EXPECT_EQ(TwiceFHausdorff(ps, pt, scratch), TwiceFHausdorff(sigma, tau));
-  EXPECT_EQ(FHausdorff(ps, pt, scratch), FHausdorff(sigma, tau));
+  const PairCounts expected = ref::ComputePairCounts(sigma, tau);
+  EXPECT_EQ(ComputePairCounts(sigma, tau, scratch), expected);
+  EXPECT_EQ(ComputePairCounts(sigma, tau), expected);
+  EXPECT_EQ(TwiceKprof(sigma, tau, scratch), TwiceKprofFromCounts(expected));
+  EXPECT_EQ(Kprof(sigma, tau, scratch), ref::UnpreparedMetric(
+                                            MetricKind::kKprof, sigma, tau));
+  EXPECT_EQ(Kprof(sigma, tau), Kprof(sigma, tau, scratch));
+  EXPECT_EQ(KHausdorff(sigma, tau, scratch), KHausdorffFromCounts(expected));
+  EXPECT_EQ(KHausdorff(sigma, tau), KHausdorff(sigma, tau, scratch));
+  EXPECT_EQ(TwiceFprof(sigma, tau), ref::TwiceFprofByPosition(sigma, tau));
+  EXPECT_EQ(TwiceFHausdorff(sigma, tau, scratch),
+            ref::TwiceFHausdorffTheorem5(sigma, tau));
+  EXPECT_EQ(TwiceFHausdorff(sigma, tau), TwiceFHausdorff(sigma, tau, scratch));
+  EXPECT_EQ(FHausdorff(sigma, tau, scratch),
+            ref::UnpreparedMetric(MetricKind::kFHaus, sigma, tau));
   for (const double p : {0.0, 0.25, 0.5, 1.0}) {
-    EXPECT_EQ(KendallP(ps, pt, p, scratch), KendallP(sigma, tau, p));
+    const double want = KendallPFromCounts(expected, p);
+    EXPECT_EQ(KendallP(sigma, tau, p, scratch), want);
+    EXPECT_EQ(KendallP(sigma, tau, p), want);
   }
 }
 
-TEST(PreparedRankingTest, FreezesBucketStructure) {
-  const BucketOrder order =
-      BucketOrder::FromBuckets(6, {{2, 5}, {0}, {1, 3, 4}}).value();
-  const PreparedRanking prepared(order);
-  ASSERT_EQ(prepared.n(), 6u);
-  ASSERT_EQ(prepared.num_buckets(), 3u);
-  EXPECT_EQ(prepared.tied_pairs(), 1 + 0 + 3);
-  EXPECT_EQ(prepared.bucket_offset(),
-            (std::vector<std::size_t>{0, 2, 3, 6}));
-  EXPECT_EQ(prepared.by_bucket(),
-            (std::vector<ElementId>{2, 5, 0, 1, 3, 4}));
-  for (std::size_t e = 0; e < 6; ++e) {
-    const ElementId id = static_cast<ElementId>(e);
-    EXPECT_EQ(prepared.bucket_of()[e], order.BucketOf(id));
-    EXPECT_EQ(prepared.twice_position()[e], order.TwicePosition(id));
-  }
-}
-
-TEST(PreparedRankingTest, DefaultAndDegenerateDomains) {
-  const PreparedRanking empty;
-  EXPECT_EQ(empty.n(), 0u);
-  EXPECT_EQ(empty.num_buckets(), 0u);
-  EXPECT_EQ(empty.tied_pairs(), 0);
-
+TEST(PreparedKernelsTest, DefaultAndDegenerateDomains) {
   PairScratch scratch;
-  const PreparedRanking frozen_empty((BucketOrder()));
-  EXPECT_EQ(frozen_empty.num_buckets(), 0u);
-  EXPECT_EQ(ComputePairCounts(frozen_empty, frozen_empty, scratch),
-            PairCounts());
-  const PreparedRanking one(BucketOrder::SingleBucket(1));
+  const BucketOrder empty;
+  EXPECT_EQ(ComputePairCounts(empty, empty, scratch), PairCounts());
+  const BucketOrder one = BucketOrder::SingleBucket(1);
   EXPECT_EQ(TwiceKprof(one, one, scratch), 0);
   EXPECT_EQ(KHausdorff(one, one, scratch), 0);
   EXPECT_EQ(TwiceFprof(one, one), 0);
   EXPECT_EQ(TwiceFHausdorff(one, one, scratch), 0);
+}
+
+// A copy of a ranking is its four flat vectors, whatever its bucket count,
+// so a full ranking copies in a handful of allocations rather than one per
+// bucket.
+TEST(PreparedKernelsTest, CopyingAFullRankingAllocatesAtMostFiveTimes) {
+  Rng rng(5);
+  const BucketOrder full =
+      BucketOrder::FromPermutation(Permutation::Random(4096, rng));
+  g_allocation_count = 0;
+  g_count_allocations = true;
+  const BucketOrder copy = full;
+  g_count_allocations = false;
+  EXPECT_LE(g_allocation_count, 5);
+  EXPECT_EQ(copy, full);
 }
 
 TEST(PreparedKernelsTest, MatchLegacyOnRandomizedPairs) {
@@ -161,17 +161,15 @@ TEST(PreparedKernelsTest, ShrinkingInputsAfterLargeOnes) {
   PairScratch scratch;
   const BucketOrder small_sigma = RandomBucketOrder(9, rng);
   const BucketOrder small_tau = RandomBucketOrder(9, rng);
-  const PreparedRanking ps(small_sigma);
-  const PreparedRanking pt(small_tau);
-  const PairCounts before = ComputePairCounts(ps, pt, scratch);
+  const PairCounts before = ComputePairCounts(small_sigma, small_tau, scratch);
 
   const BucketOrder big_sigma =
       BucketOrder::FromPermutation(Permutation::Random(300, rng));
   const BucketOrder big_tau = RandomBucketOrder(300, rng);
   ExpectPreparedMatchesLegacy(big_sigma, big_tau, scratch);
 
-  EXPECT_EQ(ComputePairCounts(ps, pt, scratch), before);
-  EXPECT_EQ(before, ComputePairCounts(small_sigma, small_tau));
+  EXPECT_EQ(ComputePairCounts(small_sigma, small_tau, scratch), before);
+  EXPECT_EQ(before, ref::ComputePairCounts(small_sigma, small_tau));
 }
 
 TEST(PreparedKernelsTest, ReserveIsOptionalAndHarmless) {
@@ -181,10 +179,8 @@ TEST(PreparedKernelsTest, ReserveIsOptionalAndHarmless) {
   PairScratch cold;
   PairScratch reserved;
   reserved.Reserve(50, 50);
-  const PreparedRanking ps(sigma);
-  const PreparedRanking pt(tau);
-  EXPECT_EQ(ComputePairCounts(ps, pt, cold),
-            ComputePairCounts(ps, pt, reserved));
+  EXPECT_EQ(ComputePairCounts(sigma, tau, cold),
+            ComputePairCounts(sigma, tau, reserved));
 }
 
 // The core acceptance criterion of the prepared layer: once the scratch has
@@ -198,32 +194,28 @@ TEST(PreparedKernelsTest, WarmKernelsPerformZeroHeapAllocations) {
         BucketOrder::FromPermutation(Permutation::Random(200, rng)));
     // ^ all-singleton: t_sigma * t_tau = n^2 -> sort-fallback joint
   }
-  std::vector<PreparedRanking> prepared;
-  prepared.reserve(orders.size());
-  for (const BucketOrder& order : orders) prepared.emplace_back(order);
-
   PairScratch scratch;
   // Warm-up pass: grows the scratch to its high-water mark and runs the
   // obs counters' one-time handle registration.
   std::int64_t checksum = 0;
-  for (std::size_t i = 0; i < prepared.size(); ++i) {
-    for (std::size_t j = i + 1; j < prepared.size(); ++j) {
-      checksum += TwiceKprof(prepared[i], prepared[j], scratch);
-      checksum += KHausdorff(prepared[i], prepared[j], scratch);
-      checksum += TwiceFprof(prepared[i], prepared[j]);
-      checksum += TwiceFHausdorff(prepared[i], prepared[j], scratch);
+  for (std::size_t i = 0; i < orders.size(); ++i) {
+    for (std::size_t j = i + 1; j < orders.size(); ++j) {
+      checksum += TwiceKprof(orders[i], orders[j], scratch);
+      checksum += KHausdorff(orders[i], orders[j], scratch);
+      checksum += TwiceFprof(orders[i], orders[j]);
+      checksum += TwiceFHausdorff(orders[i], orders[j], scratch);
     }
   }
 
   std::int64_t counted = 0;
   g_allocation_count = 0;
   g_count_allocations = true;
-  for (std::size_t i = 0; i < prepared.size(); ++i) {
-    for (std::size_t j = i + 1; j < prepared.size(); ++j) {
-      counted += TwiceKprof(prepared[i], prepared[j], scratch);
-      counted += KHausdorff(prepared[i], prepared[j], scratch);
-      counted += TwiceFprof(prepared[i], prepared[j]);
-      counted += TwiceFHausdorff(prepared[i], prepared[j], scratch);
+  for (std::size_t i = 0; i < orders.size(); ++i) {
+    for (std::size_t j = i + 1; j < orders.size(); ++j) {
+      counted += TwiceKprof(orders[i], orders[j], scratch);
+      counted += KHausdorff(orders[i], orders[j], scratch);
+      counted += TwiceFprof(orders[i], orders[j]);
+      counted += TwiceFHausdorff(orders[i], orders[j], scratch);
     }
   }
   g_count_allocations = false;
@@ -232,8 +224,8 @@ TEST(PreparedKernelsTest, WarmKernelsPerformZeroHeapAllocations) {
   EXPECT_EQ(counted, checksum);
 }
 
-// Contrast case documenting why the legacy path needed replacing: the same
-// warm-loop measurement over the BucketOrder kernels allocates per pair.
+// Contrast case documenting why batch loops pass their own scratch: the
+// two-argument point form grows a fresh function-local scratch per call.
 TEST(PreparedKernelsTest, LegacyKernelsDoAllocatePerPair) {
   Rng rng(11);
   const BucketOrder sigma = RandomFewValued(200, 4.0, rng);

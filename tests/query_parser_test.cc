@@ -60,6 +60,7 @@ TEST(QueryParserTest, RejectsMalformedTerms) {
   EXPECT_FALSE(ParsePreferences(schema, "price:sideways").ok()); // bad spec
   EXPECT_FALSE(ParsePreferences(schema, "price:asc~0").ok());    // gran <= 0
   EXPECT_FALSE(ParsePreferences(schema, "price:asc~x").ok());    // bad number
+  EXPECT_FALSE(ParsePreferences(schema, "price:near=nan").ok()); // NaN
   EXPECT_FALSE(ParsePreferences(schema, "price:near=").ok());    // no target
   EXPECT_FALSE(ParsePreferences(schema, "price:a>b").ok());      // cat on num
   EXPECT_FALSE(ParsePreferences(schema, "cuisine:a>>b").ok());   // empty lvl

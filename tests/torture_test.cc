@@ -13,6 +13,7 @@
 #include "gen/mallows.h"
 #include "gen/random_orders.h"
 #include "rank/refinement.h"
+#include "ref/per_pair.h"
 #include "util/rng.h"
 
 namespace rankties {
@@ -48,9 +49,10 @@ TEST_P(TortureTest, AllFastPathsMatchReferences) {
     const PairCounts fast = ComputePairCounts(sigma, tau);
     ASSERT_EQ(fast, ComputePairCountsNaive(sigma, tau))
         << sigma.ToString() << " / " << tau.ToString();
+    ASSERT_EQ(fast, ref::ComputePairCounts(sigma, tau));
 
     // Kendall-family identities.
-    ASSERT_EQ(KHausdorff(sigma, tau), KHausdorffTheorem5(sigma, tau));
+    ASSERT_EQ(KHausdorff(sigma, tau), ref::KHausdorffTheorem5(sigma, tau));
     ASSERT_EQ(TwiceKprof(sigma, tau),
               TwiceKprofFromProfiles(KProfileQuarters(sigma),
                                      KProfileQuarters(tau)));

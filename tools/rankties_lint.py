@@ -30,12 +30,13 @@ Rules (rationale in docs/STATIC_ANALYSIS.md):
                                upper-cased) or `#pragma once`.
 
   RT005 bucketorder-privates   Mention of a BucketOrder private field
-                               (.buckets_ / .bucket_of_ /
-                               .twice_pos_by_bucket_ via . or ->) outside
-                               src/rank/. The representation invariant
-                               (partition + doubled positions) is owned by
-                               src/rank/; everything else goes through the
-                               public API so Validate() stays authoritative.
+                               (.bucket_of_ / .by_bucket_ / .bucket_offset_
+                               / .twice_pos_ / .tied_pairs_ via . or ->)
+                               outside src/rank/. The flat arrays are one
+                               invariant (partition, offsets, doubled
+                               positions, tied pairs) owned by src/rank/;
+                               everything else goes through the public API
+                               so Validate() stays authoritative.
 
   RT006 raw-intrinsics         Vector intrinsics (_mm*/__m128/__m256/__m512
                                or an *intrin.h include) anywhere but
@@ -118,7 +119,8 @@ BANNED_RANDOM = re.compile(
     r"std::rand\b|(?<![_A-Za-z:.>])s?rand\s*\(|(?<![_A-Za-z:.>])time\s*\("
 )
 FIELD_ACCESS = re.compile(
-    r"(?:\.|->)\s*(?:buckets_|bucket_of_|twice_pos_by_bucket_)\b"
+    r"(?:\.|->)\s*"
+    r"(?:bucket_of_|by_bucket_|bucket_offset_|twice_pos_|tied_pairs_)\b"
 )
 RAW_INTRINSICS = re.compile(
     r"\b_mm\d*_\w+|\b__m(?:128|256|512)[di]?\b|#\s*include\s*<\w*intrin\.h>"
