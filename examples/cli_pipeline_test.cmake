@@ -27,8 +27,10 @@ execute_process(COMMAND ${RANK_TOOL} dist /nonexistent RESULT_VARIABLE rc
 if(rc EQUAL 0)
   message(FATAL_ERROR "dist on missing file should fail")
 endif()
-# Bad integer arguments exit 1 with a message; they never abort.
-foreach(args "gen;-1;2" "gen;10;x" "agg;${WORK_DIR}/voters.txt;-5")
+# Bad numeric arguments exit 1 with a message; they never abort or fall
+# back to other output.
+foreach(args "gen;-1;2" "gen;10;x" "gen;10;2;abc" "gen;10;2;1.5"
+             "gen;10;2;0.5;11" "agg;${WORK_DIR}/voters.txt;-5")
   execute_process(COMMAND ${RANK_TOOL} ${args} RESULT_VARIABLE rc
                   ERROR_VARIABLE err OUTPUT_QUIET)
   if(NOT rc EQUAL 1 OR NOT err MATCHES "rank_tool: ")

@@ -26,8 +26,10 @@
 //                                      top-k list if k given, and f-dagger)
 //   rank_tool gen <n> <m> [phi [t]]    emit m random bucket orders on n
 //                                      elements (quantized Mallows with
-//                                      dispersion phi into t buckets; plain
-//                                      uniform if phi omitted)
+//                                      dispersion 0 < phi <= 1 into
+//                                      1 <= t <= n buckets, by default
+//                                      min(n, max(2, n/4)); plain uniform if
+//                                      phi omitted)
 //   rank_tool query <csv> <schema> <q> preference query over a CSV table.
 //                                      <schema> is comma-separated
 //                                      name=num|cat pairs; <q> uses the
@@ -41,7 +43,6 @@
 
 #include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -144,21 +145,27 @@ int CmdGen(int argc, char** argv) {
   if (argc < 4) return Fail("gen needs <n> <m>");
   const std::optional<long long> n_arg = ParseIntArg(argv[2], 1);
   const std::optional<long long> m_arg = ParseIntArg(argv[3], 1);
+  if (!n_arg || !m_arg) return Fail("n and m must be integers >= 1");
+  double phi = 0;  // 0: uniform orders
+  if (argc > 4) {
+    const char* end = argv[4] + std::strlen(argv[4]);
+    const auto [stop, error] = std::from_chars(argv[4], end, phi);
+    if (error != std::errc() || stop != end || !(phi > 0 && phi <= 1)) {
+      return Fail("phi must be a number in (0, 1]");
+    }
+  }
   const std::optional<long long> t_arg =
       argc > 5 ? ParseIntArg(argv[5], 1)
-               : std::max(2LL, n_arg.value_or(0) / 4);
-  if (!n_arg || !m_arg || !t_arg) {
-    return Fail("n, m and t must be integers >= 1");
-  }
+               : std::min(*n_arg, std::max(2LL, *n_arg / 4));
+  if (!t_arg || *t_arg > *n_arg) return Fail("t must be an integer in [1, n]");
   const std::size_t n = static_cast<std::size_t>(*n_arg);
   const std::size_t m = static_cast<std::size_t>(*m_arg);
   const std::size_t t = static_cast<std::size_t>(*t_arg);
-  const double phi = argc > 4 ? std::atof(argv[4]) : 0.0;
   Rng rng(static_cast<std::uint64_t>(n * 1000003 + m));
   const Permutation center = Permutation::Random(n, rng);
   std::vector<BucketOrder> orders;
   for (std::size_t i = 0; i < m; ++i) {
-    if (phi > 0 && phi <= 1 && t >= 1 && t <= n) {
+    if (phi > 0) {
       orders.push_back(QuantizedMallows(center, phi, t, rng));
     } else {
       orders.push_back(RandomBucketOrder(n, rng));

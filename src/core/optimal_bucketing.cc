@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <limits>
 #include <numeric>
+#include <string>
 
 #include "util/combinatorics.h"
 #include "util/contracts.h"
@@ -31,33 +32,24 @@ SortedScores SortScores(const std::vector<std::int64_t>& quad_scores) {
            quad_scores[static_cast<std::size_t>(b)];
   });
   s.f.resize(n + 1);
-  s.f[0] = std::numeric_limits<std::int64_t>::min();
   for (std::size_t r = 0; r < n; ++r) {
     s.f[r + 1] = quad_scores[static_cast<std::size_t>(s.ids[r])];
   }
   return s;
 }
 
-// Builds the BucketOrder from DP backpointers: boundaries[j] = the i such
-// that the final bucket covering sorted positions (i, j] is optimal.
-BucketingResult BuildResult(const SortedScores& sorted,
-                            const std::vector<std::size_t>& best_i,
-                            std::int64_t cost_quad) {
-  const std::size_t n = sorted.ids.size();
-  std::vector<std::size_t> cuts;  // descending interval ends
-  std::size_t j = n;
-  while (j > 0) {
-    cuts.push_back(j);
-    j = best_i[j];
-  }
-  std::vector<BucketIndex> bucket_of(n);
+// The bucket order of type `sizes` (bucket sizes, front first) consistent
+// with the sorted scores.
+BucketingResult FromType(const SortedScores& sorted,
+                         const std::vector<std::size_t>& sizes,
+                         std::int64_t cost_quad) {
+  std::vector<BucketIndex> bucket_of(sorted.ids.size());
+  std::size_t r = 0;
   BucketIndex b = 0;
-  std::size_t start = 0;
-  for (auto it = cuts.rbegin(); it != cuts.rend(); ++it) {
-    for (std::size_t r = start; r < *it; ++r) {
+  for (std::size_t s : sizes) {
+    for (std::size_t l = 0; l < s; ++l, ++r) {
       bucket_of[static_cast<std::size_t>(sorted.ids[r])] = b;
     }
-    start = *it;
     ++b;
   }
   StatusOr<BucketOrder> order = BucketOrder::FromBucketIndex(bucket_of);
@@ -65,174 +57,68 @@ BucketingResult BuildResult(const SortedScores& sorted,
   return BucketingResult{std::move(order).value(), cost_quad};
 }
 
-// c(i,j) = sum_{l=i+1..j} |f[l] - 2(i+j+1)|, evaluated with prefix sums and
-// a binary search for the midpoint split. O(log n).
-struct PrefixCost {
-  explicit PrefixCost(const std::vector<std::int64_t>& f) : f_(f) {
-    prefix_.resize(f.size());
-    prefix_[0] = 0;
-    for (std::size_t l = 1; l < f.size(); ++l) {
-      prefix_[l] = prefix_[l - 1] + f_[l];
+// Every cost the DP forms is a sum of at most n terms |f[l] - m| with
+// m <= 4n, so n * (max |f| + 4n + 4) <= kInf keeps each cost, each prefix
+// sum and each dp[i] + c(i, j) inside int64. Scores are compared against
+// +-limit because std::abs(INT64_MIN) is itself undefined.
+Status CheckScoreRange(const std::vector<std::int64_t>& quad_scores) {
+  const std::int64_t n = static_cast<std::int64_t>(quad_scores.size());
+  if (n == 0) return Status::Ok();
+  const std::int64_t limit = kInf / n - 4 * n - 4;
+  for (std::int64_t score : quad_scores) {
+    if (score > limit || score < -limit) {
+      return Status::InvalidArgument("quad score " + std::to_string(score) +
+                                     " out of range");
     }
   }
+  return Status::Ok();
+}
 
-  std::int64_t Cost(std::size_t i, std::size_t j) const {
-    const std::int64_t m = 2 * static_cast<std::int64_t>(i + j + 1);
-    // First index in (i, j] with f >= m.
-    const auto begin = f_.begin() + static_cast<std::ptrdiff_t>(i + 1);
-    const auto end = f_.begin() + static_cast<std::ptrdiff_t>(j + 1);
-    const std::size_t split = static_cast<std::size_t>(
-        std::lower_bound(begin, end, m) - f_.begin());
-    const std::int64_t low_count = static_cast<std::int64_t>(split - i - 1);
-    const std::int64_t high_count = static_cast<std::int64_t>(j - split + 1);
-    const std::int64_t low_sum = prefix_[split - 1] - prefix_[i];
-    const std::int64_t high_sum = prefix_[j] - prefix_[split - 1];
-    return (low_count * m - low_sum) + (high_sum - high_count * m);
-  }
-
- private:
-  const std::vector<std::int64_t>& f_;
-  std::vector<std::int64_t> prefix_;
-};
-
-BucketingResult SolvePrefixSum(const SortedScores& sorted) {
+// dp[j] = min_{i<j} dp[i] + c(i, j): the last bucket holds sorted positions
+// (i, j] at quad position m = 2(i+j+1), and c(i, j) = sum_{l=i+1..j}
+// |f[l] - m|. Prefix sums give c(i, j) in O(1) once the block is split at
+// the first l with f[l] >= m; for a fixed j, m grows with i, so that split
+// only moves forward and one cursor finds all j splits in O(j) steps. The
+// strict < over ascending i keeps the smallest optimal i.
+BucketingResult Solve(const SortedScores& sorted) {
   const std::size_t n = sorted.ids.size();
-  PrefixCost cost(sorted.f);
+  const std::vector<std::int64_t>& f = sorted.f;
+  std::vector<std::int64_t> prefix(n + 1, 0);  // prefix[l] = f[1] + .. + f[l]
+  for (std::size_t l = 1; l <= n; ++l) prefix[l] = prefix[l - 1] + f[l];
   std::vector<std::int64_t> dp(n + 1, kInf);
   std::vector<std::size_t> best_i(n + 1, 0);
   dp[0] = 0;
   for (std::size_t j = 1; j <= n; ++j) {
+    std::size_t k = 1;  // first l <= j with f[l] >= m, else j + 1
     for (std::size_t i = 0; i < j; ++i) {
-      const std::int64_t candidate = dp[i] + cost.Cost(i, j);
-      if (candidate < dp[j]) {
-        dp[j] = candidate;
+      const std::int64_t m = 2 * static_cast<std::int64_t>(i + j + 1);
+      while (k <= j && f[k] < m) ++k;
+      const std::size_t split = std::max(k, i + 1);
+      const std::int64_t below = static_cast<std::int64_t>(split - i - 1);
+      const std::int64_t above = static_cast<std::int64_t>(j + 1 - split);
+      const std::int64_t cost = below * m - (prefix[split - 1] - prefix[i]) +
+                                (prefix[j] - prefix[split - 1]) - above * m;
+      if (dp[i] + cost < dp[j]) {
+        dp[j] = dp[i] + cost;
         best_i[j] = i;
       }
     }
   }
-  return BuildResult(sorted, best_i, dp[n]);
-}
-
-BucketingResult SolveQuadraticSpace(const SortedScores& sorted) {
-  const std::size_t n = sorted.ids.size();
-  // c[i * (n+1) + j] for 0 <= i < j <= n, filled along anti-diagonals
-  // s = i + j; every interval on a diagonal shares the midpoint 2(s+1).
-  const std::size_t stride = n + 1;
-  std::vector<std::int64_t> c(stride * stride, 0);
-  auto at = [&](std::size_t i, std::size_t j) -> std::int64_t& {
-    return c[i * stride + j];
-  };
-  for (std::size_t s = 0; s <= 2 * n - 1; ++s) {
-    const std::int64_t m = 2 * static_cast<std::int64_t>(s + 1);
-    std::size_t i, j;
-    std::int64_t value;
-    if (s % 2 == 0) {
-      i = s / 2;
-      j = s / 2;
-      value = 0;  // empty interval; expanded before first store
-    } else {
-      i = (s - 1) / 2;
-      j = (s + 1) / 2;
-      if (j > n) continue;
-      value = std::abs(sorted.f[j] - m);
-      at(i, j) = value;
-    }
-    while (i > 0 && j < n) {
-      value += std::abs(sorted.f[i] - m) + std::abs(sorted.f[j + 1] - m);
-      --i;
-      ++j;
-      at(i, j) = value;
-    }
-  }
-  std::vector<std::int64_t> dp(n + 1, kInf);
-  std::vector<std::size_t> best_i(n + 1, 0);
-  dp[0] = 0;
-  for (std::size_t j = 1; j <= n; ++j) {
-    for (std::size_t i = 0; i < j; ++i) {
-      const std::int64_t candidate = dp[i] + at(i, j);
-      if (candidate < dp[j]) {
-        dp[j] = candidate;
-        best_i[j] = i;
-      }
-    }
-  }
-  return BuildResult(sorted, best_i, dp[n]);
-}
-
-// Figure 1 of the paper: incremental cost via the Lemma 37 recurrence with a
-// monotone cursor k. Requires every f[l] even (2f integral).
-BucketingResult SolveLinearSpace(const SortedScores& sorted) {
-  const std::size_t n = sorted.ids.size();
-  std::vector<std::int64_t> dp(n + 1, kInf);
-  std::vector<std::size_t> best_i(n + 1, 0);
-  dp[0] = 0;
-  for (std::size_t j = 1; j <= n; ++j) {
-    // c(0, j) computed directly.
-    std::int64_t cost = 0;
-    {
-      const std::int64_t m = 2 * static_cast<std::int64_t>(j + 1);
-      for (std::size_t l = 1; l <= j; ++l) {
-        cost += std::abs(sorted.f[l] - m);
-      }
-    }
-    dp[j] = dp[0] + cost;
-    best_i[j] = 0;
-    std::size_t k = 1;  // first index with f[k] >= 2(i+j+1); monotone in i
-    for (std::size_t i = 1; i < j; ++i) {
-      const std::int64_t m_prev = 2 * static_cast<std::int64_t>(i + j);
-      const std::int64_t m_new = m_prev + 2;
-      while (k <= j && sorted.f[k] < m_new) ++k;
-      // Lemma 37 (re-derived for quad units): moving from c(i-1,j) to
-      // c(i,j) drops element i and shifts the midpoint up by 1/2; elements
-      // below the new midpoint gain 2, the rest lose 2.
-      const std::int64_t low =
-          std::max<std::int64_t>(0, static_cast<std::int64_t>(k) - 1 -
-                                        static_cast<std::int64_t>(i));
-      cost = cost - std::abs(sorted.f[i] - m_prev) +
-             2 * (2 * low - static_cast<std::int64_t>(j - i));
-      const std::int64_t candidate = dp[i] + cost;
-      if (candidate < dp[j]) {
-        dp[j] = candidate;
-        best_i[j] = i;
-      }
-    }
-  }
-  return BuildResult(sorted, best_i, dp[n]);
-}
-
-bool AllEven(const std::vector<std::int64_t>& values) {
-  for (std::int64_t v : values) {
-    if (v % 2 != 0) return false;
-  }
-  return true;
+  std::vector<std::size_t> sizes;  // the optimal type, last bucket first
+  for (std::size_t j = n; j > 0; j = best_i[j]) sizes.push_back(j - best_i[j]);
+  std::reverse(sizes.begin(), sizes.end());
+  return FromType(sorted, sizes, dp[n]);
 }
 
 }  // namespace
 
 StatusOr<BucketingResult> OptimalBucketing(
-    const std::vector<std::int64_t>& quad_scores,
-    BucketingAlgorithm algorithm) {
+    const std::vector<std::int64_t>& quad_scores) {
   if (quad_scores.empty()) {
     return Status::InvalidArgument("no scores");
   }
-  const SortedScores sorted = SortScores(quad_scores);
-  switch (algorithm) {
-    case BucketingAlgorithm::kPrefixSum:
-      return SolvePrefixSum(sorted);
-    case BucketingAlgorithm::kQuadraticSpace:
-      return SolveQuadraticSpace(sorted);
-    case BucketingAlgorithm::kLinearSpace:
-      if (!AllEven(sorted.f)) {
-        return Status::FailedPrecondition(
-            "linear-space DP requires 2f integral (even quad scores); "
-            "use kQuadraticSpace or kPrefixSum");
-      }
-      return SolveLinearSpace(sorted);
-    case BucketingAlgorithm::kAuto:
-      return AllEven(sorted.f) ? SolveLinearSpace(sorted)
-                               : SolveQuadraticSpace(sorted);
-  }
-  return Status::Internal("unknown algorithm");
+  if (Status range = CheckScoreRange(quad_scores); !range.ok()) return range;
+  return Solve(SortScores(quad_scores));
 }
 
 StatusOr<std::int64_t> BucketingCostQuad(
@@ -246,6 +132,7 @@ StatusOr<std::int64_t> BucketingCostQuad(
   if (total != quad_scores.size()) {
     return Status::InvalidArgument("sizes do not sum to n");
   }
+  if (Status range = CheckScoreRange(quad_scores); !range.ok()) return range;
   const SortedScores sorted = SortScores(quad_scores);
   std::int64_t cost = 0;
   std::size_t i = 0;
@@ -267,6 +154,7 @@ StatusOr<BucketingResult> OptimalBucketingBrute(
   if (n > 20) {
     return Status::InvalidArgument("brute force limited to n <= 20");
   }
+  if (Status range = CheckScoreRange(quad_scores); !range.ok()) return range;
   const SortedScores sorted = SortScores(quad_scores);
   std::int64_t best_cost = kInf;
   std::vector<std::size_t> best_sizes;
@@ -279,19 +167,7 @@ StatusOr<BucketingResult> OptimalBucketingBrute(
     }
     return true;
   });
-  // Rebuild the bucket order for the best composition.
-  std::vector<BucketIndex> bucket_of(n);
-  std::size_t r = 0;
-  BucketIndex b = 0;
-  for (std::size_t s : best_sizes) {
-    for (std::size_t l = 0; l < s; ++l, ++r) {
-      bucket_of[static_cast<std::size_t>(sorted.ids[r])] = b;
-    }
-    ++b;
-  }
-  StatusOr<BucketOrder> order = BucketOrder::FromBucketIndex(bucket_of);
-  RANKTIES_DCHECK_OK(order);
-  return BucketingResult{std::move(order).value(), best_cost};
+  return FromType(sorted, best_sizes, best_cost);
 }
 
 }  // namespace rankties

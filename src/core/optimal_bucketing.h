@@ -9,25 +9,6 @@
 
 namespace rankties {
 
-/// Algorithm choices for the optimal-bucketing dynamic program
-/// (paper Appendix A.6.4).
-enum class BucketingAlgorithm {
-  /// Figure 1 of the paper: O(n^2) time, O(n) space, via the Lemma 37
-  /// incremental cost recurrence with a monotone cursor. Requires 2f(i)
-  /// integral for all i (quad scores even), which holds for kLower/kUpper
-  /// medians and for kAverage with even parity.
-  kLinearSpace,
-  /// The paper's unrestricted variant: precomputes the full c(i,j) table by
-  /// the diagonal recurrence c(i-1,j+1) = c(i,j) + |f(i)-M| + |f(j+1)-M|.
-  /// O(n^2) time and space; works for any scores.
-  kQuadraticSpace,
-  /// Prefix-sum + binary-search evaluation of c(i,j): O(n^2 log n) time,
-  /// O(n) space; works for any scores. Reference implementation.
-  kPrefixSum,
-  /// Picks kLinearSpace when the precondition holds, else kQuadraticSpace.
-  kAuto,
-};
-
 /// Result of consolidating a score function into a partial ranking.
 struct BucketingResult {
   /// f-dagger: the partial ranking minimizing L1(f-dagger, f) over all
@@ -39,11 +20,14 @@ struct BucketingResult {
 
 /// Computes f-dagger for the score function given by `quad_scores` (element
 /// e has f(e) = quad_scores[e] / 4; use MedianRankScoresQuad to produce
-/// them). Fails on empty input or, for kLinearSpace, when some quad score is
-/// odd (2f not integral; the paper's Figure-1 precondition).
+/// them) by the O(n^2)-time, O(n)-space dynamic program of the paper's
+/// Appendix A.6.4. Any integer scores work; 2f need not be integral.
+/// Among optimal orders it returns the one whose last bucket starts
+/// earliest, recursively. Fails on empty input, or when
+/// n * (max |quad score| + 4n + 4) exceeds INT64_MAX / 4, beyond which a
+/// cost could overflow.
 StatusOr<BucketingResult> OptimalBucketing(
-    const std::vector<std::int64_t>& quad_scores,
-    BucketingAlgorithm algorithm = BucketingAlgorithm::kAuto);
+    const std::vector<std::int64_t>& quad_scores);
 
 /// Exhaustive reference: tries every composition of n as the type of a
 /// bucket order consistent with the sorted scores (optimal by the paper's
@@ -54,7 +38,7 @@ StatusOr<BucketingResult> OptimalBucketingBrute(
 /// Cost (in quad units) of bucketing the elements, sorted ascending by
 /// `quad_scores`, into consecutive blocks of the given sizes:
 /// 4 * L1(order, f). Helper shared with tests/benches. Fails if sizes do
-/// not sum to n.
+/// not sum to n, or on scores OptimalBucketing refuses.
 StatusOr<std::int64_t> BucketingCostQuad(
     const std::vector<std::int64_t>& quad_scores,
     const std::vector<std::size_t>& sizes);

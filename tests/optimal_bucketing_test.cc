@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "allocation_hook.h"
 #include "core/cost.h"
 #include "core/footrule.h"
 #include "core/median_rank.h"
 #include "gen/random_orders.h"
+#include "ref/fdagger.h"
 #include "util/rng.h"
 
 namespace rankties {
@@ -40,27 +44,17 @@ TEST(OptimalBucketingTest, AlreadyAPartialRankingHasZeroCost) {
     for (ElementId e = 0; e < 9; ++e) {
       quad[static_cast<std::size_t>(e)] = 2 * order.TwicePosition(e);
     }
-    for (auto algo :
-         {BucketingAlgorithm::kLinearSpace, BucketingAlgorithm::kQuadraticSpace,
-          BucketingAlgorithm::kPrefixSum}) {
-      auto result = OptimalBucketing(quad, algo);
-      ASSERT_TRUE(result.ok()) << result.status();
-      EXPECT_EQ(result->cost_quad, 0);
-      EXPECT_EQ(result->order, order);
-    }
+    auto result = OptimalBucketing(quad);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->cost_quad, 0);
+    EXPECT_EQ(result->order, order);
   }
-}
-
-TEST(OptimalBucketingTest, LinearSpaceRejectsOddScores) {
-  EXPECT_FALSE(
-      OptimalBucketing({3, 5, 7}, BucketingAlgorithm::kLinearSpace).ok());
-  // kAuto silently falls back.
-  EXPECT_TRUE(OptimalBucketing({3, 5, 7}, BucketingAlgorithm::kAuto).ok());
 }
 
 class BucketingParityTest : public ::testing::TestWithParam<std::size_t> {};
 
-// All three DP variants agree with each other and with brute force.
+// The DP agrees with brute force on odd and even scores, and with the
+// paper's Figure 1 on even ones.
 TEST_P(BucketingParityTest, VariantsMatchBruteForce) {
   const std::size_t n = GetParam();
   Rng rng(100 + n);
@@ -70,18 +64,12 @@ TEST_P(BucketingParityTest, VariantsMatchBruteForce) {
         RandomQuadScores(n, rng, even_only);
     auto brute = OptimalBucketingBrute(scores);
     ASSERT_TRUE(brute.ok());
-    for (auto algo : {BucketingAlgorithm::kQuadraticSpace,
-                      BucketingAlgorithm::kPrefixSum}) {
-      auto result = OptimalBucketing(scores, algo);
-      ASSERT_TRUE(result.ok());
-      EXPECT_EQ(result->cost_quad, brute->cost_quad)
-          << "n=" << n << " trial=" << trial;
-    }
+    auto result = OptimalBucketing(scores);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->cost_quad, brute->cost_quad)
+        << "n=" << n << " trial=" << trial;
     if (even_only) {
-      auto linear =
-          OptimalBucketing(scores, BucketingAlgorithm::kLinearSpace);
-      ASSERT_TRUE(linear.ok());
-      EXPECT_EQ(linear->cost_quad, brute->cost_quad);
+      EXPECT_EQ(result->cost_quad, ref::FDaggerCostFigure1(scores));
     }
   }
 }
@@ -89,13 +77,78 @@ TEST_P(BucketingParityTest, VariantsMatchBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Sizes, BucketingParityTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 8, 10, 12));
 
+// Figure 1 at sizes the brute force cannot reach, on random even scores
+// and on lower-median scores; the returned order must carry the cost.
+TEST(OptimalBucketingTest, MatchesFigure1BeyondBruteForce) {
+  Rng rng(13);
+  for (const std::size_t n : {30, 100, 400}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<std::int64_t> scores = RandomQuadScores(n, rng, true);
+      if (trial % 2 == 1) {
+        std::vector<BucketOrder> inputs;
+        for (int i = 0; i < 4; ++i) {
+          inputs.push_back(RandomFewValued(n, 4.0, rng));
+        }
+        scores = MedianRankScoresQuad(inputs, MedianPolicy::kLower).value();
+      }
+      auto result = OptimalBucketing(scores);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(result->cost_quad, ref::FDaggerCostFigure1(scores))
+          << "n=" << n << " trial=" << trial;
+      EXPECT_EQ(BucketingCostQuad(scores, result->order.Type()).value(),
+                result->cost_quad);
+    }
+  }
+}
+
+// Odd quad scores (2f not integral, which kAverage medians produce) run in
+// the same O(n)-space DP: no allocation is quadratic in n.
+TEST(OptimalBucketingTest, OddScoresStayInLinearSpace) {
+  const std::size_t n = 2048;
+  Rng rng(17);
+  std::vector<std::int64_t> scores(n);
+  for (std::int64_t& score : scores) {
+    score = 2 * rng.UniformInt(0, static_cast<std::int64_t>(2 * n)) + 1;
+  }
+  g_largest_allocation = 0;
+  g_count_allocations = true;
+  auto result = OptimalBucketing(scores);
+  g_count_allocations = false;
+  ASSERT_TRUE(result.ok());
+  EXPECT_LE(g_largest_allocation, 16 * (n + 1));
+  EXPECT_EQ(BucketingCostQuad(scores, result->order.Type()).value(),
+            result->cost_quad);
+}
+
+// Scores whose costs could overflow int64 are refused, never computed; the
+// largest accepted magnitude still gives an exact cost.
+TEST(OptimalBucketingTest, ScoresThatCouldOverflowAreRejected) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::vector<std::int64_t> overflowing[] = {{kMin}, {0, kMax}};
+  for (const std::vector<std::int64_t>& scores : overflowing) {
+    auto result = OptimalBucketing(scores);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(BucketingCostQuad(scores, {scores.size()}).ok());
+    EXPECT_FALSE(OptimalBucketingBrute(scores).ok());
+  }
+  // n = 2: the limit is (INT64_MAX / 4) / 2 - 4 * 2 - 4.
+  const std::int64_t limit = kMax / 4 / 2 - 12;
+  auto edge = OptimalBucketing({-limit, limit});
+  ASSERT_TRUE(edge.ok());
+  EXPECT_EQ(edge->cost_quad, (limit + 4) + (limit - 8));
+  EXPECT_FALSE(OptimalBucketing({-limit - 1, limit}).ok());
+  EXPECT_FALSE(OptimalBucketing({-limit, limit + 1}).ok());
+}
+
 TEST(OptimalBucketingTest, ReportedCostMatchesReconstructedOrder) {
   // The cost the DP reports equals 4 * L1(f-dagger, f) recomputed from the
   // returned bucket order.
   Rng rng(7);
   for (int trial = 0; trial < 20; ++trial) {
     const std::vector<std::int64_t> scores = RandomQuadScores(10, rng, true);
-    auto result = OptimalBucketing(scores, BucketingAlgorithm::kAuto);
+    auto result = OptimalBucketing(scores);
     ASSERT_TRUE(result.ok());
     std::int64_t recomputed = 0;
     for (ElementId e = 0; e < 10; ++e) {
@@ -112,7 +165,7 @@ TEST(OptimalBucketingTest, ResultIsConsistentWithScores) {
   Rng rng(9);
   for (int trial = 0; trial < 20; ++trial) {
     const std::vector<std::int64_t> scores = RandomQuadScores(9, rng, false);
-    auto result = OptimalBucketing(scores, BucketingAlgorithm::kAuto);
+    auto result = OptimalBucketing(scores);
     ASSERT_TRUE(result.ok());
     for (ElementId i = 0; i < 9; ++i) {
       for (ElementId j = 0; j < 9; ++j) {
@@ -139,7 +192,7 @@ TEST(OptimalBucketingTest, Theorem10FactorTwoOverPartialRankings) {
     }
     auto median = MedianRankScoresQuad(inputs, MedianPolicy::kLower);
     ASSERT_TRUE(median.ok());
-    auto fdagger = OptimalBucketing(*median, BucketingAlgorithm::kAuto);
+    auto fdagger = OptimalBucketing(*median);
     ASSERT_TRUE(fdagger.ok());
     const std::int64_t ours = TwiceTotalFprof(fdagger->order, inputs);
     for (int g = 0; g < 60; ++g) {
@@ -173,7 +226,7 @@ TEST(OptimalBucketingTest, ClusteredScoresMergeIntoBuckets) {
   // buckets.
   // Elements 0..2 near position 1.33, elements 3..5 near position 5.
   const std::vector<std::int64_t> scores = {8, 8, 8, 20, 20, 20};
-  auto result = OptimalBucketing(scores, BucketingAlgorithm::kAuto);
+  auto result = OptimalBucketing(scores);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->order.num_buckets(), 2u);
   const std::span<const ElementId> front = result->order.bucket(0);

@@ -2,10 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "allocation_hook.h"
 #include "core/footrule.h"
 #include "core/hausdorff.h"
 #include "core/metric_registry.h"
@@ -15,44 +14,6 @@
 #include "rank/bucket_order.h"
 #include "ref/per_pair.h"
 #include "util/rng.h"
-
-// Allocation-counting hook for the zero-allocation contract of the prepared
-// kernels: the test binary replaces global operator new/delete with
-// pass-throughs that bump a thread-local counter while a test has armed it.
-// Thread-local keeps the hook race-free without putting atomics on every
-// allocation in the binary.
-namespace {
-thread_local bool g_count_allocations = false;
-thread_local std::int64_t g_allocation_count = 0;
-}  // namespace
-
-// noinline keeps GCC from pairing the malloc/free inside with new/delete
-// expressions at call sites (-Wmismatched-new-delete false positives).
-__attribute__((noinline)) void* operator new(std::size_t size) {
-  if (g_count_allocations) ++g_allocation_count;
-  void* ptr = std::malloc(size);
-  if (ptr == nullptr) throw std::bad_alloc();
-  return ptr;
-}
-
-__attribute__((noinline)) void* operator new[](std::size_t size) {
-  return operator new(size);
-}
-
-__attribute__((noinline)) void operator delete(void* ptr) noexcept {
-  std::free(ptr);
-}
-__attribute__((noinline)) void operator delete[](void* ptr) noexcept {
-  std::free(ptr);
-}
-__attribute__((noinline)) void operator delete(void* ptr,
-                                               std::size_t) noexcept {
-  std::free(ptr);
-}
-__attribute__((noinline)) void operator delete[](void* ptr,
-                                                 std::size_t) noexcept {
-  std::free(ptr);
-}
 
 namespace rankties {
 namespace {

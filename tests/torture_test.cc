@@ -13,6 +13,7 @@
 #include "gen/mallows.h"
 #include "gen/random_orders.h"
 #include "rank/refinement.h"
+#include "ref/fdagger.h"
 #include "ref/per_pair.h"
 #include "util/rng.h"
 
@@ -99,7 +100,8 @@ TEST_P(TortureTest, AllFastPathsMatchReferences) {
     }
   }
 
-  // DP variants on fresh random scores (smaller n; brute force involved).
+  // The f-dagger DP against brute force and Figure 1 on fresh random even
+  // scores (smaller n; brute force involved).
   for (int round = 0; round < 10; ++round) {
     const std::size_t n = static_cast<std::size_t>(rng.UniformInt(1, 9));
     std::vector<std::int64_t> scores(n);
@@ -108,13 +110,10 @@ TEST_P(TortureTest, AllFastPathsMatchReferences) {
     }
     auto brute = OptimalBucketingBrute(scores);
     ASSERT_TRUE(brute.ok());
-    for (auto algo :
-         {BucketingAlgorithm::kLinearSpace, BucketingAlgorithm::kQuadraticSpace,
-          BucketingAlgorithm::kPrefixSum}) {
-      auto result = OptimalBucketing(scores, algo);
-      ASSERT_TRUE(result.ok());
-      ASSERT_EQ(result->cost_quad, brute->cost_quad);
-    }
+    auto result = OptimalBucketing(scores);
+    ASSERT_TRUE(result.ok());
+    ASSERT_EQ(result->cost_quad, brute->cost_quad);
+    ASSERT_EQ(result->cost_quad, ref::FDaggerCostFigure1(scores));
   }
 }
 
