@@ -12,15 +12,20 @@
 //  * median — StreamingMedianRankScoresQuad + StreamingMedianInducedOrder
 //    vs MedianRankScoresQuad + MedianInducedOrder on the same lists, under
 //    a deliberately small accumulation budget (forces multi-pass).
-//  * matrix — OutOfCoreDistanceMatrix vs DistanceMatrix per metric kind.
+//  * matrix — OutOfCoreDistanceMatrix vs DistanceMatrix per metric kind,
+//    once at the default memory budget (the whole corpus is one block) and
+//    once at a budget of two chunks (one chunk per block, so every later
+//    chunk streams against it).
 //
 // `bench_outofcore --json` emits rankties-bench-v2 JSON. The CI bench gate
 // asserts match_in_ram (bit-exact streaming results), cache_within_budget
 // (peak resident bytes <= configured budget), and budget_ratio >= 4 on
-// every record; cache hit rate and bytes-read-per-pair ride along as
-// numbers, and the metrics block carries the store.cache.* / store.io.* /
-// outofcore.* counters from a small instrumented pass.
+// every record, and bounds the default-budget matrices' streaming / in-RAM
+// time ratio; cache hit rate, bytes-read-per-pair and chunk loads per call
+// ride along as numbers, and the metrics block carries the store.cache.* /
+// store.io.* / outofcore.* counters from a small instrumented pass.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -193,16 +198,31 @@ MedianCaseResult RunMedianCase(const std::vector<BucketOrder>& lists,
   return result;
 }
 
+/// A matrix memory budget of two chunks: the decoded-chunk figure
+/// OutOfCoreDistanceMatrix documents, list_count * (16n + 8) +
+/// 8 * bucket_count, for the corpus's largest chunk, doubled.
+std::size_t TwoChunkBudget(const store::CorpusReader& reader) {
+  std::uint64_t largest = 0;
+  for (std::size_t c = 0; c < reader.num_chunks(); ++c) {
+    const store::ChunkEntry& entry = reader.chunk(c);
+    largest = std::max(largest, entry.list_count * (16 * reader.n() + 8) +
+                                    8 * entry.bucket_count);
+  }
+  return static_cast<std::size_t>(2 * largest);
+}
+
 struct MatrixCaseResult {
   double in_ram_seconds = 0.0;
   double outofcore_seconds = 0.0;
   bool match_in_ram = false;
   CacheReport cache;
+  std::int64_t chunk_loads = 0;  ///< per call; 0 when obs is compiled out
 };
 
 MatrixCaseResult RunMatrixCase(MetricKind kind,
                                const std::vector<BucketOrder>& lists,
-                               const CorpusShape& shape) {
+                               const CorpusShape& shape,
+                               const OutOfCoreOptions& options) {
   MatrixCaseResult result;
   std::vector<std::vector<double>> in_ram;
   for (int rep = 0; rep < kReps; ++rep) {
@@ -220,7 +240,7 @@ MatrixCaseResult RunMatrixCase(MetricKind kind,
       Status::InvalidArgument("unset"));
   for (int rep = 0; rep < kReps; ++rep) {
     Stopwatch watch;
-    streamed = OutOfCoreDistanceMatrix(kind, reader);
+    streamed = OutOfCoreDistanceMatrix(kind, reader, options);
     const double seconds = watch.Seconds();
     if (!streamed.ok()) std::abort();
     if (rep == 0 || seconds < result.outofcore_seconds) {
@@ -229,6 +249,14 @@ MatrixCaseResult RunMatrixCase(MetricKind kind,
   }
   result.cache = ReportCache(reader.pager(), shape);
   result.match_in_ram = *streamed == in_ram;  // bit-exact, rowwise
+
+  // One more, untimed call with the obs counters on for the load count.
+  obs::SetEnabled(true);
+  const obs::Counter* loads = obs::GetCounter("outofcore.chunk_loads");
+  const std::int64_t before = loads->Value();
+  if (!OutOfCoreDistanceMatrix(kind, reader, options).ok()) std::abort();
+  result.chunk_loads = loads->Value() - before;
+  obs::SetEnabled(false);
   return result;
 }
 
@@ -266,6 +294,18 @@ constexpr MetricKind kMatrixKinds[] = {
     MetricKind::kFHaus,
 };
 
+/// The matrix passes: the default budget, then two chunks.
+struct MatrixPass {
+  const char* mode;  ///< nullptr for the default budget
+  OutOfCoreOptions options;
+};
+
+std::vector<MatrixPass> MatrixPasses(const store::CorpusReader& reader) {
+  OutOfCoreOptions two_chunks;
+  two_chunks.memory_budget_bytes = TwoChunkBudget(reader);
+  return {{nullptr, OutOfCoreOptions{}}, {"two_chunks", two_chunks}};
+}
+
 double PairCount() {
   return static_cast<double>(kLists) * (kLists - 1) / 2.0;
 }
@@ -294,8 +334,9 @@ int RunJsonMode() {
   const std::vector<BucketOrder> lists =
       MakeSkewedCorpus(kLists, kDomain, 41000);
   WriteCorpusFile(kCorpusPath, lists);
-  const CorpusShape shape = ShapeOf(
-      OpenReader(kCorpusPath, store::Pager::Options{}));
+  const store::CorpusReader plain =
+      OpenReader(kCorpusPath, store::Pager::Options{});
+  const CorpusShape shape = ShapeOf(plain);
 
   std::vector<benchjson::Record> records;
   bool all_ok = true;
@@ -314,20 +355,27 @@ int RunJsonMode() {
     FillCommon(record, shape, r.cache, r.match_in_ram);
     records.push_back(record);
   }
-  for (const MetricKind kind : kMatrixKinds) {
-    const MatrixCaseResult r = RunMatrixCase(kind, lists, shape);
-    all_ok = all_ok && r.match_in_ram && r.cache.within_budget;
-    benchjson::Record record;
-    record.Str("name", "outofcore_matrix")
-        .Str("metric", MetricName(kind))
-        .Str("engine", "outofcore_matrix")
-        .Num("seconds", r.outofcore_seconds)
-        .Num("seconds_in_ram", r.in_ram_seconds)
-        .Int("items", static_cast<long long>(PairCount()))
-        .Num("throughput", PairCount() / r.outofcore_seconds)
-        .Num("bytes_read_per_pair", r.cache.bytes_read / PairCount());
-    FillCommon(record, shape, r.cache, r.match_in_ram);
-    records.push_back(record);
+  for (const MatrixPass& pass : MatrixPasses(plain)) {
+    for (const MetricKind kind : kMatrixKinds) {
+      const MatrixCaseResult r =
+          RunMatrixCase(kind, lists, shape, pass.options);
+      all_ok = all_ok && r.match_in_ram && r.cache.within_budget;
+      benchjson::Record record;
+      record.Str("name", "outofcore_matrix")
+          .Str("metric", MetricName(kind))
+          .Str("engine", "outofcore_matrix");
+      if (pass.mode != nullptr) record.Str("mode", pass.mode);
+      record.Num("seconds", r.outofcore_seconds)
+          .Num("seconds_in_ram", r.in_ram_seconds)
+          .Int("items", static_cast<long long>(PairCount()))
+          .Num("throughput", PairCount() / r.outofcore_seconds)
+          .Num("bytes_read_per_pair", r.cache.bytes_read / PairCount())
+          .Int("memory_budget_bytes",
+               static_cast<long long>(pass.options.memory_budget_bytes))
+          .Int("chunk_loads", static_cast<long long>(r.chunk_loads));
+      FillCommon(record, shape, r.cache, r.match_in_ram);
+      records.push_back(record);
+    }
   }
   ThreadPool::SetGlobalThreads(0);  // restore the default pool
   std::remove(kCorpusPath);
@@ -350,8 +398,9 @@ int RunHumanMode() {
   const std::vector<BucketOrder> lists =
       MakeSkewedCorpus(kLists, kDomain, 41000);
   WriteCorpusFile(kCorpusPath, lists);
-  const CorpusShape shape = ShapeOf(
-      OpenReader(kCorpusPath, store::Pager::Options{}));
+  const store::CorpusReader plain =
+      OpenReader(kCorpusPath, store::Pager::Options{});
+  const CorpusShape shape = ShapeOf(plain);
   std::printf("=== out-of-core engines vs in-RAM "
               "(m=%zu, n=%zu, corpus %.2f MiB, cache budget %.2f MiB, "
               "best of %d) ===\n\n",
@@ -359,26 +408,35 @@ int RunHumanMode() {
               static_cast<double>(shape.corpus_bytes) / (1 << 20),
               static_cast<double>(shape.cache_budget_bytes) / (1 << 20),
               kReps);
-  std::printf("%-12s %13s %13s %9s %8s %7s\n", "case", "in-RAM (ms)",
-              "stream (ms)", "hit rate", "budget", "match");
+  std::printf("%-17s %13s %13s %9s %6s %8s %7s\n", "case", "in-RAM (ms)",
+              "stream (ms)", "hit rate", "loads", "budget", "match");
   bool all_ok = true;
   {
     const MedianCaseResult r = RunMedianCase(lists, shape);
     all_ok = all_ok && r.match_in_ram && r.cache.within_budget;
-    std::printf("%-12s %13.3f %13.3f %8.1f%% %8s %7s\n", "median_rank",
+    std::printf("%-17s %13.3f %13.3f %8.1f%% %6s %8s %7s\n", "median_rank",
                 r.in_ram_seconds * 1e3, r.streaming_seconds * 1e3,
-                r.cache.hit_rate * 100.0,
+                r.cache.hit_rate * 100.0, "-",
                 r.cache.within_budget ? "ok" : "OVER",
                 r.match_in_ram ? "yes" : "NO");
   }
-  for (const MetricKind kind : kMatrixKinds) {
-    const MatrixCaseResult r = RunMatrixCase(kind, lists, shape);
-    all_ok = all_ok && r.match_in_ram && r.cache.within_budget;
-    std::printf("%-12s %13.3f %13.3f %8.1f%% %8s %7s\n", MetricName(kind),
-                r.in_ram_seconds * 1e3, r.outofcore_seconds * 1e3,
-                r.cache.hit_rate * 100.0,
-                r.cache.within_budget ? "ok" : "OVER",
-                r.match_in_ram ? "yes" : "NO");
+  for (const MatrixPass& pass : MatrixPasses(plain)) {
+    for (const MetricKind kind : kMatrixKinds) {
+      const MatrixCaseResult r =
+          RunMatrixCase(kind, lists, shape, pass.options);
+      all_ok = all_ok && r.match_in_ram && r.cache.within_budget;
+      std::string label = MetricName(kind);
+      if (pass.mode != nullptr) {
+        label += ' ';
+        label += pass.mode;
+      }
+      std::printf("%-17s %13.3f %13.3f %8.1f%% %6lld %8s %7s\n",
+                  label.c_str(), r.in_ram_seconds * 1e3,
+                  r.outofcore_seconds * 1e3, r.cache.hit_rate * 100.0,
+                  static_cast<long long>(r.chunk_loads),
+                  r.cache.within_budget ? "ok" : "OVER",
+                  r.match_in_ram ? "yes" : "NO");
+    }
   }
   std::printf("\ncorpus is %.1fx the cache budget; every streaming result "
               "is checked bit-exact against the in-RAM engine.\n",

@@ -15,13 +15,6 @@ namespace rankties {
 
 namespace {
 
-// Chunk size that keeps scheduling overhead below ~1/32 of each lane's
-// share while still load-balancing metric evaluations of uneven cost.
-std::size_t AutoGrain(std::size_t items) {
-  const std::size_t lanes = ThreadPool::GlobalThreads();
-  return std::max<std::size_t>(1, items / (32 * lanes));
-}
-
 // Per-shard wall time of the batch loops; together with the `items`
 // attribute on the enclosing span this yields items/sec per stage.
 obs::Histogram* ShardTimeHistogram() {

@@ -1,6 +1,7 @@
 #include "core/outofcore.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "core/batch_engine.h"
@@ -74,7 +75,8 @@ StatusOr<BucketOrder> StreamingMedianInducedOrder(
 }
 
 StatusOr<std::vector<std::vector<double>>> OutOfCoreDistanceMatrix(
-    MetricKind kind, store::CorpusReader& reader) {
+    MetricKind kind, store::CorpusReader& reader,
+    const OutOfCoreOptions& options) {
   const std::size_t m = static_cast<std::size_t>(reader.num_lists());
   std::vector<std::vector<double>> matrix(m, std::vector<double>(m, 0.0));
   if (m < 2) return matrix;
@@ -83,58 +85,85 @@ StatusOr<std::vector<std::vector<double>>> OutOfCoreDistanceMatrix(
                static_cast<std::int64_t>(m) *
                    static_cast<std::int64_t>(m - 1) / 2);
 
+  // Decoded chunk sizes from the directory: each list's BucketOrder holds
+  // bucket_of, by_bucket and twice_pos (16 bytes per element) and
+  // bucket_offset (8 bytes per bucket, plus one). Open bounds bucket_count
+  // by list_count * n, so a figure is at most six times the chunk's
+  // payload bytes. largest_from[c] is the largest chunk in [c, chunks):
+  // what a block that ends at c streams.
   const std::size_t chunks = reader.num_chunks();
-  std::vector<BucketOrder> lists_a;
-  std::vector<BucketOrder> lists_b;
-  for (std::size_t a = 0; a < chunks; ++a) {
-    Status s = reader.ReadChunk(a, &lists_a);
-    if (!s.ok()) return s;
-    RANKTIES_OBS_COUNT("outofcore.chunk_loads", 1);
-    const std::size_t first_a =
+  const std::uint64_t per_list =
+      16 * static_cast<std::uint64_t>(reader.n()) + 8;
+  std::vector<std::uint64_t> chunk_bytes(chunks);
+  std::vector<std::uint64_t> largest_from(chunks + 1, 0);
+  for (std::size_t c = chunks; c-- > 0;) {
+    const store::ChunkEntry& entry = reader.chunk(c);
+    chunk_bytes[c] = entry.list_count * per_list + 8 * entry.bucket_count;
+    largest_from[c] = std::max(chunk_bytes[c], largest_from[c + 1]);
+  }
+
+  std::vector<BucketOrder> block;
+  std::vector<BucketOrder> streamed;
+  for (std::size_t a = 0; a < chunks;) {
+    // Block-nested-loop join: the block [a, e) takes chunks while its
+    // bytes plus the largest chunk still to stream fit the budget (that
+    // sum only grows with e), and always holds at least chunk a.
+    std::size_t e = a + 1;
+    std::uint64_t resident = chunk_bytes[a];
+    while (e < chunks && resident + chunk_bytes[e] + largest_from[e + 1] <=
+                             options.memory_budget_bytes) {
+      resident += chunk_bytes[e];
+      ++e;
+    }
+    block.clear();
+    for (std::size_t c = a; c < e; ++c) {
+      Status s = reader.ReadChunk(c, &streamed);
+      if (!s.ok()) return s;
+      RANKTIES_OBS_COUNT("outofcore.chunk_loads", 1);
+      std::move(streamed.begin(), streamed.end(), std::back_inserter(block));
+    }
+    const std::size_t first =
         static_cast<std::size_t>(reader.chunk(a).first_list);
 
-    // Diagonal block: within-chunk upper triangle. Same kind dispatch and
-    // argument order as DistanceMatrix (sigma = global list i, tau = global
-    // list j, i < j), which is what makes the blocked matrix bit-identical.
-    ParallelFor(0, lists_a.size(), 1, [&](std::size_t lo, std::size_t hi) {
-      PairScratch& scratch = LaneScratch();
-      for (std::size_t i = lo; i < hi; ++i) {
-        for (std::size_t j = i + 1; j < lists_a.size(); ++j) {
-          const double d =
-              ComputeMetric(kind, lists_a[i], lists_a[j], scratch);
-          matrix[first_a + i][first_a + j] = d;
-          matrix[first_a + j][first_a + i] = d;
-        }
-      }
-    });
+    // The block's own pairs: DistanceMatrix's tiler, all lanes.
+    const std::vector<std::vector<double>> inner = DistanceMatrix(kind, block);
+    for (std::size_t i = 0; i < block.size(); ++i) {
+      std::copy(inner[i].begin(), inner[i].end(),
+                matrix[first + i].begin() + static_cast<std::ptrdiff_t>(first));
+    }
     RANKTIES_OBS_COUNT(
         "outofcore.metric_evals",
-        static_cast<std::int64_t>(lists_a.size() * (lists_a.size() - 1) / 2));
+        static_cast<std::int64_t>(block.size() * (block.size() - 1) / 2));
 
-    // Cross blocks: chunk a stays loaded while b sweeps the tail.
-    for (std::size_t b = a + 1; b < chunks; ++b) {
-      s = reader.ReadChunk(b, &lists_b);
+    // Every later chunk is read once and streamed against the whole block
+    // as one flat block x chunk grid, so parallelism scales with the cell
+    // count. Block lists precede chunk b, so sigma = global list i and
+    // tau = global list j, i < j: DistanceMatrix's argument order, which
+    // is what makes the matrix bit-identical.
+    for (std::size_t b = e; b < chunks; ++b) {
+      Status s = reader.ReadChunk(b, &streamed);
       if (!s.ok()) return s;
       RANKTIES_OBS_COUNT("outofcore.chunk_loads", 1);
       const std::size_t first_b =
           static_cast<std::size_t>(reader.chunk(b).first_list);
-      ParallelFor(0, lists_a.size(), 1, [&](std::size_t lo, std::size_t hi) {
-        PairScratch& scratch = LaneScratch();
-        for (std::size_t i = lo; i < hi; ++i) {
-          for (std::size_t j = 0; j < lists_b.size(); ++j) {
-            // Global i < global j always holds across chunks a < b, so
-            // sigma/tau order matches the in-RAM upper triangle.
-            const double d =
-                ComputeMetric(kind, lists_a[i], lists_b[j], scratch);
-            matrix[first_a + i][first_b + j] = d;
-            matrix[first_b + j][first_a + i] = d;
-          }
-        }
-      });
-      RANKTIES_OBS_COUNT(
-          "outofcore.metric_evals",
-          static_cast<std::int64_t>(lists_a.size() * lists_b.size()));
+      const std::size_t cols = streamed.size();
+      const std::size_t cells = block.size() * cols;
+      ParallelFor(0, cells, AutoGrain(cells),
+                  [&](std::size_t lo, std::size_t hi) {
+                    PairScratch& scratch = LaneScratch();
+                    for (std::size_t t = lo; t < hi; ++t) {
+                      const std::size_t i = t / cols;
+                      const std::size_t j = t % cols;
+                      const double d = ComputeMetric(kind, block[i],
+                                                     streamed[j], scratch);
+                      matrix[first + i][first_b + j] = d;
+                      matrix[first_b + j][first + i] = d;
+                    }
+                  });
+      RANKTIES_OBS_COUNT("outofcore.metric_evals",
+                         static_cast<std::int64_t>(cells));
     }
+    a = e;
   }
   return matrix;
 }

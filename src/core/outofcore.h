@@ -15,8 +15,8 @@ namespace rankties {
 
 /// Shard-at-a-time engines over an on-disk `rankties-corpus-v1` corpus
 /// (store/corpus_reader.h). The corpus never has to fit in RAM: lists are
-/// materialized one chunk at a time through the reader's LRU block cache,
-/// and the per-pass working set is bounded by `OutOfCoreOptions`.
+/// materialized chunk by chunk through the reader's LRU block cache, and
+/// the working set of decoded data is bounded by `OutOfCoreOptions`.
 ///
 /// Determinism guarantee: both engines are bit-identical to their in-RAM
 /// counterparts on the same corpus — StreamingMedianRankScoresQuad to
@@ -26,11 +26,15 @@ namespace rankties {
 /// argument order). CI gates on the bit-exact match.
 
 struct OutOfCoreOptions {
-  /// Budget for the streaming aggregation's accumulation buffer (the
-  /// per-element rank multisets of the active element block). Small
-  /// budgets force more passes over the corpus, never a wrong answer.
-  /// The chunk being decoded and the block cache are budgeted separately
-  /// (writer chunk shape, Pager::Options).
+  /// Memory budget of both engines. The streaming median spends it on its
+  /// accumulation buffer (the per-element rank multisets of the active
+  /// element block); the distance matrix on its resident decoded lists
+  /// (the outer block of chunks plus the one chunk streamed against it).
+  /// Small budgets force more passes over the corpus, never a wrong
+  /// answer. The matrix's floor is one chunk streamed against one block
+  /// chunk; a budget below two chunks runs at that floor. The reader's
+  /// decode scratch and the block cache are budgeted separately (writer
+  /// chunk shape, Pager::Options).
   std::size_t memory_budget_bytes = std::size_t{64} << 20;
 };
 
@@ -49,14 +53,23 @@ StatusOr<BucketOrder> StreamingMedianInducedOrder(
     store::CorpusReader& reader, MedianPolicy policy,
     const OutOfCoreOptions& options = {});
 
-/// The m x m distance matrix of DistanceMatrix computed blockwise over
-/// chunk pairs: chunk A is loaded once per outer iteration, chunk B is
-/// loaded through the cache, and every global pair (i, j), i < j, in the
-/// block runs the kernels on the pool lane's scratch. Only the chunk pair's
-/// rankings are live at once; the matrix itself (m^2 doubles) is the
-/// caller's output and scales with m, not n.
+/// The m x m distance matrix of DistanceMatrix as a block-nested-loop join
+/// over chunks. Chunk c counts list_count * (16n + 8) + 8 * bucket_count
+/// bytes, the size of its BucketOrder arrays, which the directory gives
+/// before decoding. The outer block is a run of consecutive chunks: it
+/// takes chunks while its bytes plus the largest chunk still to stream fit
+/// `memory_budget_bytes` (all remaining chunks when they fit), and always
+/// at least one. The block's own pairs run through DistanceMatrix; every
+/// later chunk is then read once and streamed against the whole block as
+/// one flat block x chunk grid on the pool. A call makes, per block, one
+/// load per block chunk plus one per chunk after the block: C loads when
+/// every chunk fits, C(C+1)/2 when the budget is below two chunks. Every
+/// pair keeps the global (i, j), i < j argument order, so the matrix is
+/// bit-identical to DistanceMatrix for every budget. The matrix itself
+/// (m^2 doubles) is the caller's output and scales with m, not n.
 StatusOr<std::vector<std::vector<double>>> OutOfCoreDistanceMatrix(
-    MetricKind kind, store::CorpusReader& reader);
+    MetricKind kind, store::CorpusReader& reader,
+    const OutOfCoreOptions& options = {});
 
 }  // namespace rankties
 

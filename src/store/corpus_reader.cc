@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <utility>
 
 #include "obs/obs.h"
@@ -11,6 +13,18 @@
 namespace rankties::store {
 
 namespace {
+
+// a * b + c over header and directory fields, or nullopt when it does not
+// fit in 64 bits. Every figure Open derives from the file goes through
+// here: a hostile file can pick fields whose product or sum wraps to
+// exactly the value a consistency check expects, and file input must get
+// a DataLoss status back, not the abort util/checked_math.h gives.
+std::optional<std::uint64_t> MulAdd(std::uint64_t a, std::uint64_t b,
+                                    std::uint64_t c) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  if (a != 0 && b > (kMax - c) / a) return std::nullopt;
+  return a * b + c;
+}
 
 Status ValidateDirectory(const FileHeader& header,
                          const std::vector<ChunkEntry>& directory) {
@@ -36,24 +50,47 @@ Status ValidateDirectory(const FileHeader& header,
     if (entry.payload_offset != next_offset) {
       return Status::DataLoss(where + ": payload not contiguous");
     }
-    const std::uint64_t expect_bytes =
-        4 * (entry.list_count + entry.list_count * header.n);
-    if (entry.payload_bytes != expect_bytes) {
+    // A chunk stores one u32 bucket count and n u32 bucket indices per
+    // list, and each list has between 1 and n buckets.
+    const std::optional<std::uint64_t> words =
+        MulAdd(entry.list_count, header.n, entry.list_count);
+    const std::optional<std::uint64_t> expect_bytes =
+        words ? MulAdd(*words, 4, 0) : std::nullopt;
+    if (!expect_bytes) {
+      return Status::DataLoss(where + ": list_count " +
+                              std::to_string(entry.list_count) +
+                              " overflows the payload size");
+    }
+    if (entry.payload_bytes != *expect_bytes) {
       return Status::DataLoss(where + ": payload_bytes " +
                               std::to_string(entry.payload_bytes) +
-                              " != expected " + std::to_string(expect_bytes));
+                              " != expected " +
+                              std::to_string(*expect_bytes));
     }
-    next_list += entry.list_count;
-    next_offset += entry.payload_bytes;
+    const std::uint64_t cells = *words - entry.list_count;
+    if (entry.bucket_count < entry.list_count || entry.bucket_count > cells) {
+      return Status::DataLoss(where + ": bucket_count " +
+                              std::to_string(entry.bucket_count) +
+                              " is impossible for its lists");
+    }
+    const std::optional<std::uint64_t> list_end =
+        MulAdd(1, entry.list_count, next_list);
+    const std::optional<std::uint64_t> offset_end =
+        MulAdd(1, entry.payload_bytes, next_offset);
+    if (!list_end || !offset_end) {
+      return Status::DataLoss(where + ": list or payload total overflows");
+    }
+    next_list = *list_end;
+    next_offset = *offset_end;
   }
   if (next_list != header.num_lists) {
     return Status::DataLoss("directory covers " + std::to_string(next_list) +
                             " lists, header says " +
                             std::to_string(header.num_lists));
   }
-  const std::uint64_t payload_capacity =
-      header.num_blocks * BlockPayloadBytes(header.block_size);
-  if (next_offset > payload_capacity) {
+  const std::optional<std::uint64_t> payload_capacity =
+      MulAdd(header.num_blocks, BlockPayloadBytes(header.block_size), 0);
+  if (!payload_capacity || next_offset > *payload_capacity) {
     return Status::DataLoss("directory payload extends past the block area");
   }
   return Status::Ok();
@@ -96,16 +133,22 @@ StatusOr<CorpusReader> CorpusReader::Open(const std::string& path,
   if (header.n == 0 || header.num_lists == 0 || header.num_chunks == 0) {
     return Status::InvalidArgument(path + ": empty corpus (no chunks)");
   }
-  if (header.dir_offset !=
-      BlockFileOffset(header.block_size, header.num_blocks)) {
+  // BlockFileOffset(block_size, num_blocks), checked: every block's file
+  // offset is below it, so the pager's offsets cannot wrap either.
+  const std::optional<std::uint64_t> block_area_end =
+      MulAdd(header.num_blocks, header.block_size, kHeaderBytes);
+  if (!block_area_end || header.dir_offset != *block_area_end) {
     return Status::DataLoss(path + ": directory offset disagrees with the "
                                    "block count");
   }
-  if (header.dir_bytes != header.num_chunks * kChunkEntryBytes + 4) {
+  const std::optional<std::uint64_t> dir_bytes =
+      MulAdd(header.num_chunks, kChunkEntryBytes, 4);
+  if (!dir_bytes || header.dir_bytes != *dir_bytes) {
     return Status::DataLoss(path + ": directory size disagrees with the "
                                    "chunk count");
   }
-  if (header.dir_offset + header.dir_bytes > *size) {
+  if (header.dir_offset > *size ||
+      header.dir_bytes > *size - header.dir_offset) {
     return Status::DataLoss(path + ": file truncated (directory extends "
                                    "past end of file)");
   }

@@ -14,6 +14,7 @@ namespace rankties::store {
 /// `Crc32` computes the checksum of a whole buffer; `Crc32Extend` continues
 /// a running checksum so callers can checksum scattered buffers without
 /// concatenating them. `Crc32Extend(Crc32(a), b) == Crc32(a ++ b)`.
+/// Both run slice-by-8: eight table lookups per eight input bytes.
 std::uint32_t Crc32(const void* data, std::size_t size);
 std::uint32_t Crc32Extend(std::uint32_t crc, const void* data,
                           std::size_t size);

@@ -173,4 +173,8 @@ void ParallelFor(std::size_t begin, std::size_t end, std::size_t grain,
   ThreadPool::Global().ParallelFor(begin, end, grain, body);
 }
 
+std::size_t AutoGrain(std::size_t items) {
+  return std::max<std::size_t>(1, items / (32 * ThreadPool::GlobalThreads()));
+}
+
 }  // namespace rankties

@@ -101,6 +101,11 @@ class ThreadPool {
 void ParallelFor(std::size_t begin, std::size_t end, std::size_t grain,
                  const std::function<void(std::size_t, std::size_t)>& body);
 
+/// Grain for `items` metric evaluations of uneven cost on the global pool:
+/// about 32 chunks per lane, so scheduling stays a small share of each
+/// lane's work while the chunks still load-balance.
+std::size_t AutoGrain(std::size_t items);
+
 }  // namespace rankties
 
 #endif  // RANKTIES_UTIL_THREAD_POOL_H_

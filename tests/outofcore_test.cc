@@ -4,6 +4,7 @@
 // matrix must equal DistanceMatrix, bit for bit, even when tiny budgets
 // force many passes and tiny blocks force heavy cache traffic.
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -15,6 +16,7 @@
 #include "gen/random_orders.h"
 #include "gen/score_dist.h"
 #include "gtest/gtest.h"
+#include "obs/obs.h"
 #include "store/corpus_reader.h"
 #include "store/corpus_writer.h"
 #include "util/rng.h"
@@ -67,6 +69,40 @@ store::CorpusReader WriteAndOpen(const std::string& name,
       store::CorpusReader::Open(path, cache);
   EXPECT_TRUE(reader.ok()) << reader.status();
   return std::move(*reader);
+}
+
+constexpr MetricKind kAllKinds[] = {MetricKind::kKprof, MetricKind::kFprof,
+                                    MetricKind::kKHaus, MetricKind::kFHaus};
+
+// The decoded size of chunk c as OutOfCoreDistanceMatrix documents it:
+// list_count * (16n + 8) + 8 * bucket_count.
+std::uint64_t ChunkBytes(const store::CorpusReader& reader, std::size_t c) {
+  const store::ChunkEntry& entry = reader.chunk(c);
+  return entry.list_count * (16 * reader.n() + 8) + 8 * entry.bucket_count;
+}
+
+// Runs every metric out of core at `budget` and checks each matrix bit for
+// bit against DistanceMatrix. With `expected_loads` >= 0 and the obs layer
+// on, each call must also make exactly that many chunk loads (the check
+// skips when obs is compiled out, where the counter reads 0).
+void ExpectBitExactAtBudget(const std::vector<BucketOrder>& corpus,
+                            store::CorpusReader& reader, std::uint64_t budget,
+                            std::int64_t expected_loads) {
+  OutOfCoreOptions options;
+  options.memory_budget_bytes = budget;
+  const obs::Counter* loads = obs::GetCounter("outofcore.chunk_loads");
+  for (const MetricKind kind : kAllKinds) {
+    const std::int64_t before = loads->Value();
+    StatusOr<std::vector<std::vector<double>>> blocked =
+        OutOfCoreDistanceMatrix(kind, reader, options);
+    ASSERT_TRUE(blocked.ok()) << blocked.status();
+    EXPECT_EQ(*blocked, DistanceMatrix(kind, corpus))
+        << MetricName(kind) << " at budget " << budget;
+    if (expected_loads >= 0 && obs::Enabled()) {
+      EXPECT_EQ(loads->Value() - before, expected_loads)
+          << MetricName(kind) << " at budget " << budget;
+    }
+  }
 }
 
 TEST(StreamingMedianTest, MatchesInRamForAllPolicies) {
@@ -126,22 +162,68 @@ TEST(OutOfCoreMatrixTest, MatchesInRamForAllMetricKinds) {
   const std::vector<BucketOrder> corpus = MixedCorpus(13, 48, 23);
   store::CorpusReader reader =
       WriteAndOpen("outofcore_matrix.corpus", corpus, 5, 2048);
+  ExpectBitExactAtBudget(corpus, reader,
+                         OutOfCoreOptions{}.memory_budget_bytes, -1);
+}
 
-  for (const MetricKind kind : {MetricKind::kKprof, MetricKind::kFprof,
-                                MetricKind::kKHaus, MetricKind::kFHaus}) {
-    const std::vector<std::vector<double>> in_ram =
-        DistanceMatrix(kind, corpus);
-    StatusOr<std::vector<std::vector<double>>> blocked =
-        OutOfCoreDistanceMatrix(kind, reader);
-    ASSERT_TRUE(blocked.ok()) << blocked.status();
-    ASSERT_EQ(blocked->size(), in_ram.size());
-    for (std::size_t i = 0; i < in_ram.size(); ++i) {
-      for (std::size_t j = 0; j < in_ram.size(); ++j) {
-        // Bit-exact: same prepared kernels, same (i, j) argument order.
-        EXPECT_EQ((*blocked)[i][j], in_ram[i][j])
-            << MetricName(kind) << " (" << i << ", " << j << ")";
-      }
+// Budgets picked from the per-chunk figure so an 8-chunk corpus runs in
+// blocks of 1, 3 and 8 chunks. A call loads, per block, its chunks plus
+// every chunk after it: 8 + 7 + ... + 1 = 36, (3 + 5) + (3 + 2) + 2 = 15,
+// and 8.
+TEST(OutOfCoreMatrixTest, BlockScheduleFollowsTheBudget) {
+  const std::vector<BucketOrder> corpus = MixedCorpus(32, 48, 26);
+  store::CorpusReader reader =
+      WriteAndOpen("outofcore_blocks.corpus", corpus, 4, 2048);
+  ASSERT_EQ(reader.num_chunks(), 8u);
+  std::vector<std::uint64_t> bytes;
+  for (std::size_t c = 0; c < reader.num_chunks(); ++c) {
+    bytes.push_back(ChunkBytes(reader, c));
+  }
+  // What a block [a, e) holds while it streams its largest later chunk.
+  const auto resident = [&](std::size_t a, std::size_t e) {
+    std::uint64_t held = 0;
+    for (std::size_t c = a; c < e; ++c) held += bytes[c];
+    std::uint64_t largest = 0;
+    for (std::size_t c = e; c < bytes.size(); ++c) {
+      largest = std::max(largest, bytes[c]);
     }
+    return held + largest;
+  };
+  obs::SetEnabled(true);
+
+  // Below two chunks: every block is one chunk, C(C+1)/2 loads.
+  const std::uint64_t smallest = *std::min_element(bytes.begin(), bytes.end());
+  ExpectBitExactAtBudget(corpus, reader, 2 * smallest - 1, 36);
+
+  // Blocks [0, 3), [3, 6), [6, 8): each fits with its largest later chunk,
+  // and one more chunk would not.
+  const std::uint64_t three = std::max(
+      {resident(0, 3), resident(3, 6), resident(6, 8)});
+  ASSERT_LT(three, resident(0, 4));
+  ASSERT_LT(three, resident(3, 7));
+  ExpectBitExactAtBudget(corpus, reader, three, 15);
+
+  // Every chunk fits: one block, one load per chunk. One byte less and
+  // the first block stops at six chunks: (6 + 2) + 2 = 10.
+  ExpectBitExactAtBudget(corpus, reader, resident(0, 8), 8);
+  ExpectBitExactAtBudget(corpus, reader, resident(0, 8) - 1, 10);
+  ExpectBitExactAtBudget(corpus, reader,
+                         OutOfCoreOptions{}.memory_budget_bytes, 8);
+  obs::SetEnabled(false);
+}
+
+TEST(OutOfCoreMatrixTest, ShortLastChunkMatchesInRamAtEveryBudget) {
+  // 3 + 3 + ... + 3 + 1 lists: the last chunk holds a single list.
+  const std::vector<BucketOrder> corpus = MixedCorpus(22, 40, 27);
+  store::CorpusReader reader =
+      WriteAndOpen("outofcore_short_tail.corpus", corpus, 3, 1024);
+  ASSERT_EQ(reader.num_chunks(), 8u);
+  ASSERT_EQ(reader.chunk(7).list_count, 1u);
+  const std::uint64_t chunk = ChunkBytes(reader, 0);
+  for (const std::uint64_t budget :
+       {std::uint64_t{1}, 2 * chunk, 3 * chunk, 5 * chunk,
+        std::uint64_t{1} << 30}) {
+    ExpectBitExactAtBudget(corpus, reader, budget, -1);
   }
 }
 

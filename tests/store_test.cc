@@ -1,8 +1,8 @@
 // Round-trip and robustness tests for the rankties-corpus-v1 on-disk
-// format (store/corpus_writer.h, store/corpus_reader.h). The corruption
-// cases are the satellite contract of ISSUE 9: truncated file, flipped CRC
-// byte, bad magic/version, and zero-chunk corpus must all come back as
-// clean Status errors — no UB — under the ASan/UBSan CI legs.
+// format (store/corpus_writer.h, store/corpus_reader.h) and its CRC32.
+// Truncated files, flipped CRC bytes, bad magic/version, zero-chunk
+// corpora and header or directory fields whose arithmetic wraps must all
+// come back as clean Status errors — no UB — under the ASan/UBSan CI legs.
 
 #include <cstdint>
 #include <filesystem>
@@ -63,6 +63,53 @@ std::vector<BucketOrder> ReadAll(store::CorpusReader& reader) {
   return all;
 }
 
+// Applies `edit` to the decoded header of `path` and rewrites it with a
+// fresh CRC, so only the edited fields are wrong.
+template <typename Edit>
+void RewriteHeader(const std::string& path, Edit edit) {
+  std::fstream file(path,
+                    std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(file.is_open());
+  unsigned char header[store::kHeaderBytes];
+  file.read(reinterpret_cast<char*>(header), sizeof(header));
+  store::FileHeader decoded;
+  store::DecodeHeader(header, &decoded);
+  edit(decoded);
+  store::EncodeHeader(decoded, header);
+  store::StoreU32(header + store::kHeaderCrcOffset,
+                  store::Crc32(header, store::kHeaderCrcOffset));
+  file.seekp(0);
+  file.write(reinterpret_cast<const char*>(header), sizeof(header));
+}
+
+// Applies `edit` to directory entry `c` of `path` and rewrites the
+// directory CRC, so only the edited fields are wrong.
+template <typename Edit>
+void RewriteChunkEntry(const std::string& path, std::size_t c, Edit edit) {
+  std::fstream file(path,
+                    std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(file.is_open());
+  unsigned char header[store::kHeaderBytes];
+  file.read(reinterpret_cast<char*>(header), sizeof(header));
+  store::FileHeader decoded;
+  store::DecodeHeader(header, &decoded);
+  ASSERT_LT(c, decoded.num_chunks);
+  std::vector<unsigned char> dir(decoded.dir_bytes);
+  file.seekg(static_cast<std::streamoff>(decoded.dir_offset));
+  file.read(reinterpret_cast<char*>(dir.data()),
+            static_cast<std::streamsize>(dir.size()));
+  unsigned char* raw = dir.data() + c * store::kChunkEntryBytes;
+  store::ChunkEntry entry;
+  store::DecodeChunkEntry(raw, &entry);
+  edit(entry);
+  store::EncodeChunkEntry(entry, raw);
+  const std::size_t payload = dir.size() - 4;
+  store::StoreU32(dir.data() + payload, store::Crc32(dir.data(), payload));
+  file.seekp(static_cast<std::streamoff>(decoded.dir_offset));
+  file.write(reinterpret_cast<const char*>(dir.data()),
+             static_cast<std::streamsize>(dir.size()));
+}
+
 void FlipByte(const std::string& path, std::uint64_t offset) {
   std::fstream file(path,
                     std::ios::in | std::ios::out | std::ios::binary);
@@ -73,6 +120,45 @@ void FlipByte(const std::string& path, std::uint64_t offset) {
   byte = static_cast<char>(byte ^ 0x5A);
   file.seekp(static_cast<std::streamoff>(offset));
   file.write(&byte, 1);
+}
+
+// Bit-at-a-time reflected CRC-32, the definition the tables encode.
+std::uint32_t BitwiseCrc32(const unsigned char* bytes, std::size_t size) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= bytes[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+// The checksum is part of the file format: these values are what every
+// rankties-corpus-v1 file already on disk carries.
+TEST(StoreCrc32, MatchesTheFormatChecksum) {
+  const char check[] = "123456789";
+  EXPECT_EQ(store::Crc32(check, 9), 0xCBF43926u);
+
+  Rng rng(12);
+  std::vector<unsigned char> bytes(316);
+  for (unsigned char& byte : bytes) {
+    byte = static_cast<unsigned char>(rng.UniformInt(0, 255));
+  }
+  for (std::size_t start = 0; start < 16; ++start) {
+    for (std::size_t size = 0; size <= 300; ++size) {
+      ASSERT_EQ(store::Crc32(bytes.data() + start, size),
+                BitwiseCrc32(bytes.data() + start, size))
+          << "start " << start << " size " << size;
+    }
+  }
+
+  for (const std::size_t split : {0, 1, 7, 8, 9, 64, 299, 300}) {
+    EXPECT_EQ(store::Crc32Extend(store::Crc32(bytes.data(), split),
+                                 bytes.data() + split, 300 - split),
+              store::Crc32(bytes.data(), 300))
+        << "split " << split;
+  }
 }
 
 TEST(StoreRoundTrip, SingleChunkSingleBlock) {
@@ -209,24 +295,77 @@ TEST(StoreRobustness, BadMagicIsInvalidArgument) {
 TEST(StoreRobustness, BadVersionIsRejected) {
   const std::string path = TestPath("bad_version.corpus");
   WriteCorpus(path, MakeCorpus(4, 16, 7), CorpusWriter::Options{});
-  // Rewrite the version field and refresh the header CRC so only the
-  // version is wrong.
-  std::fstream file(path,
-                    std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(file.is_open());
-  unsigned char header[store::kHeaderBytes];
-  file.read(reinterpret_cast<char*>(header), sizeof(header));
-  store::StoreU32(header + 8, store::kFormatVersion + 1);
-  store::StoreU32(header + store::kHeaderCrcOffset,
-                  store::Crc32(header, store::kHeaderCrcOffset));
-  file.seekp(0);
-  file.write(reinterpret_cast<const char*>(header), sizeof(header));
-  file.close();
-
+  RewriteHeader(path, [](store::FileHeader& header) {
+    header.version = store::kFormatVersion + 1;
+  });
   StatusOr<store::CorpusReader> reader =
       store::CorpusReader::Open(path, store::Pager::Options{});
   ASSERT_FALSE(reader.ok());
   EXPECT_EQ(reader.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Header and directory fields whose products or sums wrap 64 bits must
+// fail Open with DataLoss. Unchecked, the first wrap sizes a directory of
+// 2^60 entries and the second lets ReadChunk reserve 2^62 lists.
+TEST(StoreRobustness, WrappedDirectorySizeIsDataLoss) {
+  const std::string path = TestPath("wrapped_num_chunks.corpus");
+  WriteCorpus(path, MakeCorpus(3, 16, 13), CorpusWriter::Options{});
+  // (1 + 2^60) * 48 wraps to 48, the one real entry's directory size.
+  RewriteHeader(path, [](store::FileHeader& header) {
+    header.num_chunks += std::uint64_t{1} << 60;
+  });
+  StatusOr<store::CorpusReader> reader =
+      store::CorpusReader::Open(path, store::Pager::Options{});
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(StoreRobustness, WrappedListCountIsDataLoss) {
+  const std::string path = TestPath("wrapped_list_count.corpus");
+  WriteCorpus(path, MakeCorpus(3, 16, 14), CorpusWriter::Options{});
+  // 4 * (list_count + list_count * n) gains (n + 1) * 2^64, which wraps
+  // back to the real payload size; num_lists follows so coverage agrees.
+  constexpr std::uint64_t kWrap = std::uint64_t{1} << 62;
+  RewriteChunkEntry(path, 0, [](store::ChunkEntry& entry) {
+    entry.list_count += kWrap;
+  });
+  RewriteHeader(path, [](store::FileHeader& header) {
+    header.num_lists += kWrap;
+  });
+  StatusOr<store::CorpusReader> reader =
+      store::CorpusReader::Open(path, store::Pager::Options{});
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(StoreRobustness, WrappedBlockCountIsDataLoss) {
+  const std::string path = TestPath("wrapped_num_blocks.corpus");
+  WriteCorpus(path, MakeCorpus(3, 16, 15), CorpusWriter::Options{});
+  // 2^48 more blocks of 2^16 bytes wrap the directory offset back to its
+  // real value.
+  RewriteHeader(path, [](store::FileHeader& header) {
+    ASSERT_EQ(header.block_size, store::kDefaultBlockSize);
+    header.num_blocks += std::uint64_t{1} << 48;
+  });
+  StatusOr<store::CorpusReader> reader =
+      store::CorpusReader::Open(path, store::Pager::Options{});
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(StoreRobustness, ImpossibleBucketCountIsDataLoss) {
+  const std::string path = TestPath("bad_bucket_count.corpus");
+  WriteCorpus(path, MakeCorpus(3, 16, 16), CorpusWriter::Options{});
+  // Three lists over 16 elements hold between 3 and 48 buckets.
+  for (const std::uint64_t bucket_count : {2, 49}) {
+    RewriteChunkEntry(path, 0, [&](store::ChunkEntry& entry) {
+      entry.bucket_count = bucket_count;
+    });
+    StatusOr<store::CorpusReader> reader =
+        store::CorpusReader::Open(path, store::Pager::Options{});
+    ASSERT_FALSE(reader.ok()) << bucket_count;
+    EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss);
+  }
 }
 
 TEST(StoreRobustness, FlippedHeaderByteIsDataLoss) {
