@@ -13,17 +13,17 @@ namespace rankties {
 
 namespace {
 
-// Fenwick primitives on a raw scratch vector (slot 0 unused) so the hot
-// loop never constructs a tree object. `tree` must have at least size+1
-// zeroed slots; indices are 0-based bucket indices.
-inline void FenwickAdd(std::vector<std::int64_t>& tree, std::size_t size,
+// Fenwick primitives on the raw per-tau-bucket buffer (slot 0 unused) so the
+// hot loop never constructs a tree object; indices are 0-based bucket
+// indices.
+inline void FenwickAdd(std::int64_t* tree, std::size_t size,
                        std::size_t index, std::int64_t delta) {
   for (std::size_t i = index + 1; i <= size; i += i & (~i + 1)) {
     tree[i] += delta;
   }
 }
 
-inline std::int64_t FenwickPrefix(const std::vector<std::int64_t>& tree,
+inline std::int64_t FenwickPrefix(const std::int64_t* tree,
                                   std::size_t index) {
   std::int64_t sum = 0;
   for (std::size_t i = index + 1; i > 0; i -= i & (~i + 1)) sum += tree[i];
@@ -32,18 +32,18 @@ inline std::int64_t FenwickPrefix(const std::vector<std::int64_t>& tree,
 
 // The flat joint histogram pays one pass over all t_sigma * t_tau cells, so
 // it is worth it while the key space stays a small multiple of n (the cell
-// scan is sequential — far cheaper per op than the fallback's sort) and its
-// memory stays bounded; beyond the cap the sort-and-run-count fallback wins
-// and keeps scratch memory O(n) instead of O(t_sigma * t_tau).
+// scan is sequential — far cheaper per op than the sorted feed's sort) and
+// its memory stays bounded; beyond the cap the sorted feed wins and keeps
+// scratch memory O(n) instead of O(t_sigma * t_tau).
 inline bool UseFlatJoint(std::size_t n, std::size_t product) {
   constexpr std::size_t kMaxFlatCells = std::size_t{1} << 20;  // 8 MiB
   return product <= std::max<std::size_t>(
                         64, std::min(32 * n, kMaxFlatCells));
 }
 
-// The flat-histogram mode relies on every consumed cell being re-zeroed by
-// the row scan, so a reused scratch needs no bulk clear. Debug builds
-// re-prove that invariant at entry (the contract is only referenced from a
+// The flat feed relies on every consumed cell being re-zeroed by the walk,
+// so a reused scratch needs no bulk clear. Debug builds re-prove that
+// invariant at entry (the contract is only referenced from a
 // RANKTIES_DCHECK, so release builds never evaluate it).
 bool JointCountsAllZero(const std::vector<std::int64_t>& cells,
                         std::size_t limit) {
@@ -54,16 +54,99 @@ bool JointCountsAllZero(const std::vector<std::int64_t>& cells,
   return true;
 }
 
+// Grows `buffer` to at least `size` zeroed entries; true when it grew.
+template <typename T>
+bool GrowTo(std::vector<T>& buffer, std::size_t size) {
+  if (buffer.size() >= size) return false;
+  buffer.resize(size);
+  return true;
+}
+
 }  // namespace
 
-void PairScratch::Reserve(std::size_t n, std::size_t buckets) {
-  if (fenwick_.size() < buckets + 1) fenwick_.resize(buckets + 1, 0);
-  const std::size_t product = buckets * buckets;
-  if (UseFlatJoint(n, product) && joint_counts_.size() < product) {
-    joint_counts_.resize(product, 0);
+// Calls visit(s, t, c, row_before, slot) for every occupied cell of the
+// joint histogram in row-major order, where row_before counts row s in
+// columns < t. With kEarlierRows, `slot` is the count of rows < s in columns
+// <= t; otherwise it is the visitor's own per-tau-bucket slot t, zero when
+// the walk starts.
+template <bool kEarlierRows, typename Visit>
+void PairScratch::WalkJointCells(const BucketOrder& sigma,
+                                 const BucketOrder& tau, Visit visit) {
+  const std::size_t n = sigma.n();
+  const std::size_t t_sigma = sigma.num_buckets();
+  const std::size_t t_tau = tau.num_buckets();
+  const std::vector<BucketIndex>& sigma_of = sigma.bucket_of();
+  const std::vector<BucketIndex>& tau_of = tau.bucket_of();
+  const std::size_t product = t_sigma * t_tau;
+  bool grew = GrowTo(per_tau_, t_tau + 1);
+  std::int64_t* const per_tau = per_tau_.data();
+  std::fill(per_tau, per_tau + t_tau + 1, 0);
+  if (UseFlatJoint(n, product)) {
+    // The flat feed: SIMD-staged int32 keys (they fit, the flat key space
+    // is capped at 2^20) scattered serially, then a scan of every cell;
+    // with kEarlierRows, per_tau[t] is a plain column-prefix array.
+    RANKTIES_DCHECK(JointCountsAllZero(cells_, product));
+    grew |= GrowTo(cells_, product);
+    grew |= GrowTo(keys32_, n);
+    simd::JointKeys32(sigma_of.data(), tau_of.data(), n,
+                      static_cast<std::int32_t>(t_tau), keys32_.data());
+    for (std::size_t e = 0; e < n; ++e) {
+      ++cells_[static_cast<std::size_t>(keys32_[e])];
+    }
+    for (std::size_t s = 0; s < t_sigma; ++s) {
+      std::int64_t* const row = cells_.data() + s * t_tau;
+      std::int64_t row_before = 0;
+      for (std::size_t t = 0; t < t_tau; ++t) {
+        const std::int64_t c = row[t];
+        if (c != 0) {
+          visit(s, t, c, row_before, per_tau[t]);
+          row[t] = 0;
+        }
+        row_before += c;
+        if constexpr (kEarlierRows) per_tau[t] += row_before;
+      }
+    }
+  } else {
+    // The sorted feed: a key packs (s, t) as s << 32 | t (bucket indices
+    // are non-negative int32), so ascending keys list the cells in
+    // row-major order, one run of equal keys per occupied cell.
+    grew |= GrowTo(keys64_, n);
+    std::int64_t* const keys = keys64_.data();
+    for (std::size_t e = 0; e < n; ++e) {
+      keys[e] = (std::int64_t{sigma_of[e]} << 32) | tau_of[e];
+    }
+    std::sort(keys, keys + n);
+    std::size_t row_s = t_sigma;  // sentinel: no row visited yet
+    std::int64_t row_before = 0;
+    std::size_t i = 0;
+    while (i < n) {
+      std::size_t j = i + 1;
+      while (j < n && keys[j] == keys[i]) ++j;
+      const std::size_t s = static_cast<std::size_t>(keys[i] >> 32);
+      const std::size_t t = static_cast<std::size_t>(keys[i] & 0xFFFFFFFF);
+      const std::int64_t c = static_cast<std::int64_t>(j - i);
+      if (s != row_s) {
+        row_s = s;
+        row_before = 0;
+      }
+      if constexpr (kEarlierRows) {
+        // The tree holds every cell visited so far, so its prefix through
+        // t also counts this row's earlier columns.
+        const std::int64_t earlier = FenwickPrefix(per_tau, t) - row_before;
+        FenwickAdd(per_tau, t_tau, t, c);
+        visit(s, t, c, row_before, earlier);
+      } else {
+        visit(s, t, c, row_before, per_tau[t]);
+      }
+      row_before += c;
+      i = j;
+    }
   }
-  if (joint_keys_.capacity() < n) joint_keys_.reserve(n);
-  if (keys32_.capacity() < n) keys32_.reserve(n);
+  if (grew) {
+    RANKTIES_OBS_COUNT("prepared.scratch_grows", 1);
+  } else {
+    RANKTIES_OBS_COUNT("prepared.scratch_reuse_hits", 1);
+  }
 }
 
 PairCounts ComputePairCounts(const BucketOrder& sigma,
@@ -74,145 +157,24 @@ PairCounts ComputePairCounts(const BucketOrder& sigma,
   PairCounts counts;
   if (n < 2) return counts;
 
-  const std::size_t t_sigma = sigma.num_buckets();
-  const std::size_t t_tau = tau.num_buckets();
-  const std::vector<BucketIndex>& sigma_of = sigma.bucket_of();
-  const std::vector<BucketIndex>& tau_of = tau.bucket_of();
-
-  // --- tied_both and discordant in one joint-histogram pass (flat mode). ---
-  bool scratch_grew = false;
-  const std::size_t product = t_sigma * t_tau;
-  if (UseFlatJoint(n, product)) {
-    // Build the flat (sigma bucket, tau bucket) histogram, then walk its
-    // rows in sigma-bucket order keeping P[t] = elements of earlier sigma
-    // buckets with tau bucket <= t. A cell (s, t) with count c contributes
-    // choose2(c) tied-both pairs and c * (inserted - P[t]) discordant pairs
-    // — the same per-element sums the Fenwick fallback accumulates, batched
-    // per cell, with no per-element tree walks and no sort. Cells are
-    // re-zeroed as they are consumed, so the buffer never needs a bulk
-    // clear (entries are zero outside a call, by invariant).
-    RANKTIES_DCHECK(JointCountsAllZero(scratch.joint_counts_, product));
-    if (scratch.joint_counts_.size() < product) {
-      scratch.joint_counts_.resize(product, 0);
-      scratch_grew = true;
-    }
-    if (scratch.fenwick_.size() < t_tau + 1) {
-      scratch.fenwick_.resize(t_tau + 1);
-      scratch_grew = true;
-    }
-    // Key computation is SIMD-dispatched (util/simd.h): stage the int32 keys
-    // (the flat key space is capped at 2^20, so they fit), then scatter the
-    // increments serially — the histogram write is the inherently scalar
-    // half of the fused scan.
-    if (scratch.keys32_.capacity() < n) {
-      scratch.keys32_.reserve(n);
-      scratch_grew = true;
-    }
-    scratch.keys32_.resize(n);
-    simd::JointKeys32(sigma_of.data(), tau_of.data(), n,
-                      static_cast<std::int32_t>(t_tau),
-                      scratch.keys32_.data());
-    for (std::size_t e = 0; e < n; ++e) {
-      ++scratch.joint_counts_[static_cast<std::size_t>(scratch.keys32_[e])];
-    }
-    std::int64_t* const prefix = scratch.fenwick_.data();  // plain array here
-    std::fill(prefix, prefix + t_tau, 0);
-    std::int64_t inserted = 0;
-    for (std::size_t s = 0; s < t_sigma; ++s) {
-      std::int64_t* const row = scratch.joint_counts_.data() + s * t_tau;
-      std::int64_t running = 0;
-      for (std::size_t t = 0; t < t_tau; ++t) {
-        const std::int64_t c = row[t];
-        if (c != 0) {
-          counts.tied_both += CheckedChoose2(c);
-          counts.discordant += c * (inserted - prefix[t]);
-          row[t] = 0;
-        }
-        running += c;
-        prefix[t] += running;
-      }
-      inserted += running;
-    }
-    counts.tied_sigma_only = sigma.tied_pairs() - counts.tied_both;
-    counts.tied_tau_only = tau.tied_pairs() - counts.tied_both;
-    counts.concordant = CheckedChoose2(static_cast<std::int64_t>(n)) -
-                        counts.discordant - counts.tied_sigma_only -
-                        counts.tied_tau_only - counts.tied_both;
-    if (scratch_grew) {
-      RANKTIES_OBS_COUNT("prepared.scratch_grows", 1);
-    } else {
-      RANKTIES_OBS_COUNT("prepared.scratch_reuse_hits", 1);
-    }
-    return counts;
-  }
-  {
-    // Key space too large for a flat buffer: sort the n joint keys in place
-    // (reused capacity, no heap traffic) and count runs. The key build is
-    // SIMD-dispatched (util/simd.h) like the flat-histogram path; the sort
-    // and run walk stay scalar (Fenwick-free but data-dependent).
-    if (scratch.joint_keys_.capacity() < n) {
-      scratch.joint_keys_.reserve(n);
-      scratch_grew = true;
-    }
-    scratch.joint_keys_.resize(n);
-    simd::JointKeys64(sigma_of.data(), tau_of.data(), n,
-                      static_cast<std::int64_t>(t_tau),
-                      scratch.joint_keys_.data());
-    std::sort(scratch.joint_keys_.begin(), scratch.joint_keys_.end());
-    std::size_t i = 0;
-    while (i < n) {
-      std::size_t j = i + 1;
-      while (j < n && scratch.joint_keys_[j] == scratch.joint_keys_[i]) ++j;
-      counts.tied_both += CheckedChoose2(static_cast<std::int64_t>(j - i));
-      i = j;
-    }
-  }
+  // A cell (s, t) with count c holds choose2(c) tied-both pairs, and each
+  // of its elements is discordant with every element of an earlier sigma
+  // bucket whose tau bucket lies above t: offset[s] elements precede row s,
+  // `earlier` of them in columns <= t.
+  const std::vector<std::size_t>& offset = sigma.bucket_offset();
+  scratch.WalkJointCells</*kEarlierRows=*/true>(
+      sigma, tau,
+      [&](std::size_t s, std::size_t, std::int64_t c, std::int64_t,
+          std::int64_t earlier) {
+        counts.tied_both += CheckedChoose2(c);
+        counts.discordant +=
+            c * (static_cast<std::int64_t>(offset[s]) - earlier);
+      });
   counts.tied_sigma_only = sigma.tied_pairs() - counts.tied_both;
   counts.tied_tau_only = tau.tied_pairs() - counts.tied_both;
-
-  // --- Discordant pairs: Fenwick inversion count over tau buckets, walking
-  // sigma's by-bucket order (same visit order as the per-pair sort, so
-  // the arithmetic is identical). Same-sigma-bucket elements are all queried
-  // before any is inserted, so sigma-ties never count.
-  if (scratch.fenwick_.size() < t_tau + 1) {
-    scratch.fenwick_.resize(t_tau + 1);
-    scratch_grew = true;
-  }
-  // Clear the active prefix unconditionally: resize() zero-fills only the
-  // slots it appends, and slots below that still hold the previous call's
-  // tree.
-  std::fill(scratch.fenwick_.begin(),
-            scratch.fenwick_.begin() + static_cast<std::ptrdiff_t>(t_tau + 1),
-            0);
-  const std::vector<ElementId>& by_bucket = sigma.by_bucket();
-  const std::vector<std::size_t>& offset = sigma.bucket_offset();
-  std::int64_t inserted = 0;
-  for (std::size_t b = 0; b < t_sigma; ++b) {
-    const std::size_t lo = offset[b];
-    const std::size_t hi = offset[b + 1];
-    for (std::size_t k = lo; k < hi; ++k) {
-      const std::size_t tb =
-          static_cast<std::size_t>(tau_of[static_cast<std::size_t>(
-              by_bucket[k])]);
-      counts.discordant += inserted - FenwickPrefix(scratch.fenwick_, tb);
-    }
-    for (std::size_t k = lo; k < hi; ++k) {
-      const std::size_t tb =
-          static_cast<std::size_t>(tau_of[static_cast<std::size_t>(
-              by_bucket[k])]);
-      FenwickAdd(scratch.fenwick_, t_tau, tb, 1);
-      ++inserted;
-    }
-  }
-
   counts.concordant = CheckedChoose2(static_cast<std::int64_t>(n)) -
                       counts.discordant - counts.tied_sigma_only -
                       counts.tied_tau_only - counts.tied_both;
-  if (scratch_grew) {
-    RANKTIES_OBS_COUNT("prepared.scratch_grows", 1);
-  } else {
-    RANKTIES_OBS_COUNT("prepared.scratch_reuse_hits", 1);
-  }
   return counts;
 }
 
@@ -244,8 +206,7 @@ std::int64_t TwiceFHausdorff(const BucketOrder& sigma,
                              const BucketOrder& tau,
                              PairScratch& scratch) {
   RANKTIES_DCHECK(sigma.n() == tau.n());
-  const std::size_t n = sigma.n();
-  if (n < 2) return 0;  // no displacement on a degenerate universe
+  if (sigma.n() < 2) return 0;  // no displacement on a degenerate universe
 
   // Theorem 5's two candidate refinement pairs, without materializing them.
   // With rho = identity, the four permutations rank elements by
@@ -259,113 +220,31 @@ std::int64_t TwiceFHausdorff(const BucketOrder& sigma,
   // rank_tau_k(e)| is one constant per cell and each candidate footrule is
   // a sum of cnt(s, t) * |displacement(s, t)| over occupied cells. The
   // displacements need only the cell count, the bucket offsets of
-  // both sides, and two running prefixes maintained by a row-major sweep:
-  // row_before (elements of row s in earlier columns) and col_before[t]
-  // (elements of column t in earlier rows).
-  const std::size_t t_sigma = sigma.num_buckets();
-  const std::size_t t_tau = tau.num_buckets();
+  // both sides, and two running prefixes of the row-major walk:
+  // row_before (elements of row s in earlier columns) and col_before
+  // (elements of column t in earlier rows, kept in the walk's slot t).
   const std::vector<std::size_t>& sigma_off = sigma.bucket_offset();
   const std::vector<std::size_t>& tau_off = tau.bucket_offset();
-  const std::vector<BucketIndex>& sigma_of = sigma.bucket_of();
-  const std::vector<BucketIndex>& tau_of = tau.bucket_of();
-
-  bool scratch_grew = false;
-  if (scratch.fenwick_.size() < t_tau + 1) {
-    scratch.fenwick_.resize(t_tau + 1);
-    scratch_grew = true;
-  }
-  std::int64_t* const col_before = scratch.fenwick_.data();  // plain array
-  std::fill(col_before, col_before + t_tau, 0);
-
   std::int64_t f1 = 0;
   std::int64_t f2 = 0;
-  const auto add_cell = [&](std::size_t s, std::size_t t, std::int64_t c,
-                            std::int64_t row_before) {
-    const std::int64_t before_s = static_cast<std::int64_t>(sigma_off[s]);
-    const std::int64_t row_total =
-        static_cast<std::int64_t>(sigma_off[s + 1]) - before_s;
-    const std::int64_t before_t = static_cast<std::int64_t>(tau_off[t]);
-    const std::int64_t col_total =
-        static_cast<std::int64_t>(tau_off[t + 1]) - before_t;
-    const std::int64_t d1 = (before_s + row_total - row_before - c) -
-                            (before_t + col_before[t]);
-    const std::int64_t d2 = (before_s + row_before) -
-                            (before_t + col_total - col_before[t] - c);
-    f1 += c * (d1 < 0 ? -d1 : d1);
-    f2 += c * (d2 < 0 ? -d2 : d2);
-    col_before[t] += c;
-  };
-
-  const std::size_t product = t_sigma * t_tau;
-  if (UseFlatJoint(n, product)) {
-    // Same flat joint histogram as ComputePairCounts (SIMD-staged keys,
-    // cells re-zeroed as the sweep consumes them).
-    RANKTIES_DCHECK(JointCountsAllZero(scratch.joint_counts_, product));
-    if (scratch.joint_counts_.size() < product) {
-      scratch.joint_counts_.resize(product, 0);
-      scratch_grew = true;
-    }
-    if (scratch.keys32_.capacity() < n) {
-      scratch.keys32_.reserve(n);
-      scratch_grew = true;
-    }
-    scratch.keys32_.resize(n);
-    simd::JointKeys32(sigma_of.data(), tau_of.data(), n,
-                      static_cast<std::int32_t>(t_tau),
-                      scratch.keys32_.data());
-    for (std::size_t e = 0; e < n; ++e) {
-      ++scratch.joint_counts_[static_cast<std::size_t>(scratch.keys32_[e])];
-    }
-    for (std::size_t s = 0; s < t_sigma; ++s) {
-      std::int64_t* const row = scratch.joint_counts_.data() + s * t_tau;
-      std::int64_t row_before = 0;
-      for (std::size_t t = 0; t < t_tau; ++t) {
-        const std::int64_t c = row[t];
-        if (c != 0) {
-          add_cell(s, t, c, row_before);
-          row_before += c;
-          row[t] = 0;
-        }
-      }
-    }
-  } else {
-    // Key space too large for a flat buffer: sort the n joint keys and walk
-    // the runs — sorted order is exactly the row-major cell sweep.
-    if (scratch.joint_keys_.capacity() < n) {
-      scratch.joint_keys_.reserve(n);
-      scratch_grew = true;
-    }
-    scratch.joint_keys_.resize(n);
-    simd::JointKeys64(sigma_of.data(), tau_of.data(), n,
-                      static_cast<std::int64_t>(t_tau),
-                      scratch.joint_keys_.data());
-    std::sort(scratch.joint_keys_.begin(), scratch.joint_keys_.end());
-    std::size_t prev_s = t_sigma;  // sentinel: no row processed yet
-    std::int64_t row_before = 0;
-    std::size_t i = 0;
-    while (i < n) {
-      std::size_t j = i + 1;
-      while (j < n && scratch.joint_keys_[j] == scratch.joint_keys_[i]) ++j;
-      const std::int64_t key = scratch.joint_keys_[i];
-      const std::size_t s =
-          static_cast<std::size_t>(key) / t_tau;
-      const std::size_t t =
-          static_cast<std::size_t>(key) % t_tau;
-      if (s != prev_s) {
-        row_before = 0;
-        prev_s = s;
-      }
-      const std::int64_t c = static_cast<std::int64_t>(j - i);
-      add_cell(s, t, c, row_before);
-      row_before += c;
-      i = j;
-    }
-  }
-  if (scratch_grew) {
-    RANKTIES_OBS_COUNT("prepared.scratch_grows", 1);
-  } else {
-    RANKTIES_OBS_COUNT("prepared.scratch_reuse_hits", 1);
-  }
+  scratch.WalkJointCells</*kEarlierRows=*/false>(
+      sigma, tau,
+      [&](std::size_t s, std::size_t t, std::int64_t c,
+          std::int64_t row_before, std::int64_t& col_before) {
+        const std::int64_t before_s = static_cast<std::int64_t>(sigma_off[s]);
+        const std::int64_t row_total =
+            static_cast<std::int64_t>(sigma_off[s + 1]) - before_s;
+        const std::int64_t before_t = static_cast<std::int64_t>(tau_off[t]);
+        const std::int64_t col_total =
+            static_cast<std::int64_t>(tau_off[t + 1]) - before_t;
+        const std::int64_t d1 = (before_s + row_total - row_before - c) -
+                                (before_t + col_before);
+        const std::int64_t d2 = (before_s + row_before) -
+                                (before_t + col_total - col_before - c);
+        f1 += c * (d1 < 0 ? -d1 : d1);
+        f2 += c * (d2 < 0 ? -d2 : d2);
+        col_before += c;
+      });
   return 2 * std::max(f1, f2);
 }
 

@@ -34,7 +34,10 @@ namespace rankties {
 /// harness (bench/e2e) still spells it.
 using PreparedRanking = BucketOrder;
 
-/// Reusable per-thread workspace for the prepared kernels. Buffers only
+/// Reusable per-thread workspace for the prepared kernels. Both kernels
+/// run one walk over the occupied cells of the (sigma bucket, tau bucket)
+/// joint histogram, fed by a flat histogram while t_sigma*t_tau stays a
+/// small multiple of n, and by sorted joint keys beyond that. Buffers only
 /// ever grow (to the largest n / bucket count seen), so a warm scratch
 /// makes every subsequent kernel call allocation-free regardless of how
 /// the inputs' sizes vary call to call. Not thread-safe: one scratch per
@@ -51,12 +54,6 @@ class PairScratch {
   PairScratch& operator=(PairScratch&&) noexcept = default;
   ~PairScratch() = default;
 
-  /// Grows all buffers to the high-water mark for rankings with up to `n`
-  /// elements and `buckets` buckets per side, so that subsequent kernel
-  /// calls within those bounds allocate nothing. Optional — the kernels
-  /// grow the scratch on demand.
-  void Reserve(std::size_t n, std::size_t buckets);
-
  private:
   friend PairCounts ComputePairCounts(const BucketOrder& sigma,
                                       const BucketOrder& tau,
@@ -65,29 +62,33 @@ class PairScratch {
                                       const BucketOrder& tau,
                                       PairScratch& scratch);
 
-  // Per-tau-bucket accumulator: a plain prefix array in flat-histogram
-  // mode, a Fenwick tree (slot 0 unused) in the sorted fallback; the FHaus
-  // kernel reuses it as the per-tau-bucket column-prefix array.
-  std::vector<std::int64_t> fenwick_;
-  // Flat joint histogram, indexed sigma_bucket * t_tau + tau_bucket; cells
-  // are re-zeroed as the row scan consumes them, so all entries are zero
-  // outside a call.
-  std::vector<std::int64_t> joint_counts_;
-  // Fallback buffer for the sort-and-run-count joint histogram used when
-  // t_sigma * t_tau is large relative to n.
-  std::vector<std::int64_t> joint_keys_;
-  // Staging buffer for the SIMD joint-key computation in flat-histogram
-  // mode (keys fit in int32 there: the key space is capped at 2^20).
+  // The joint-cell walk both kernels visit (defined in core/prepared.cc).
+  template <bool kEarlierRows, typename Visit>
+  void WalkJointCells(const BucketOrder& sigma, const BucketOrder& tau,
+                      Visit visit);
+
+  // Per-tau-bucket slots, zeroed at the start of every walk: the Kendall
+  // walk's earlier-rows counts (a plain column-prefix array in the flat
+  // feed, a Fenwick tree with slot 0 unused in the sorted feed), or the
+  // FHaus visitor's column counts.
+  std::vector<std::int64_t> per_tau_;
+  // Flat joint histogram, indexed sigma_bucket * t_tau + tau_bucket; the
+  // walk re-zeroes each cell it consumes, so all entries are zero outside
+  // a call.
+  std::vector<std::int64_t> cells_;
+  // The flat feed's SIMD-staged joint keys (int32: the flat key space is
+  // capped at 2^20).
   std::vector<std::int32_t> keys32_;
+  // The sorted feed's joint keys.
+  std::vector<std::int64_t> keys64_;
 };
 
 /// Pair classification on two rankings — the five counts of PairCounts,
-/// with zero heap allocations on a warm scratch. t_sigma*t_tau-aware: when
-/// the joint key space is a small multiple of n, one flat-histogram row
-/// scan yields tied_both and discordant together in O(n + t_sigma*t_tau) —
-/// no sort, no Fenwick; otherwise it falls back to sort-and-run-count on
-/// the scratch key buffer plus a Fenwick sweep, O(n log n). Requires
-/// sigma.n() == tau.n().
+/// with zero heap allocations on a warm scratch. One walk over the joint
+/// cells yields tied_both and discordant together: O(n + t_sigma*t_tau)
+/// with the flat feed, O(n log n) with the sorted feed, whose per-cell
+/// earlier-rows counts come from a Fenwick tree updated once per occupied
+/// cell. Requires sigma.n() == tau.n().
 [[nodiscard]] PairCounts ComputePairCounts(const BucketOrder& sigma,
                                            const BucketOrder& tau,
                                            PairScratch& scratch);
@@ -118,8 +119,9 @@ class PairScratch {
 /// id order on *both* sides, so the per-element rank displacement is
 /// constant across the cell and each candidate footrule collapses to a sum
 /// of cnt(s, t) * |cell displacement| over the occupied cells (derivation
-/// in DESIGN.md §7). O(n + t_sigma*t_tau) in flat-histogram mode,
-/// O(n log n) in the sorted fallback; zero allocations on a warm scratch;
+/// in DESIGN.md §7), visited by the same joint-cell walk as
+/// ComputePairCounts: O(n + t_sigma*t_tau) with the flat feed, O(n log n)
+/// with the sorted feed; zero allocations on a warm scratch;
 /// bit-identical to the explicit construction, which lives on in src/ref
 /// (ref::TwiceFHausdorffTheorem5) as the independently-built oracle.
 [[nodiscard]] std::int64_t TwiceFHausdorff(const BucketOrder& sigma,

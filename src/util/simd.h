@@ -1,7 +1,9 @@
 #ifndef RANKTIES_UTIL_SIMD_H_
 #define RANKTIES_UTIL_SIMD_H_
 
-/// Runtime SIMD dispatch shim for the prepared-kernel hot loops.
+/// Runtime SIMD dispatch shim for the prepared-kernel hot loops: the Fprof
+/// L1 accumulation and the key staging of the flat feed of core/prepared.cc's
+/// joint-cell walk (the walk's sorted feed builds its int64 keys inline).
 ///
 /// Contract (DESIGN.md §7):
 ///  * This header is the only translation-unit-visible home of raw vector
@@ -168,9 +170,9 @@ inline std::int64_t AbsDiffSumI64(const std::int64_t* a, const std::int64_t* b,
 
 // ---------------------------------------------------------------------------
 // Kernel: joint-histogram keys keys[i] = sigma_of[i] * t_tau + tau_of[i]
-// (the fused-row-scan histogram build of core/prepared.cc). Only used in
-// flat-histogram mode, where the key space t_sigma * t_tau is capped at
-// 2^20, so the int32 product cannot overflow.
+// (the flat feed of core/prepared.cc's joint-cell walk). Only used there,
+// where the key space t_sigma * t_tau is capped at 2^20, so the int32
+// product cannot overflow.
 
 inline void JointKeys32Scalar(const std::int32_t* sigma_of,
                               const std::int32_t* tau_of, std::size_t n,
@@ -211,56 +213,6 @@ inline void JointKeys32(const std::int32_t* sigma_of,
   }
 #endif
   JointKeys32Scalar(sigma_of, tau_of, n, t_tau, keys);
-}
-
-// ---------------------------------------------------------------------------
-// Kernel: 64-bit joint keys keys[i] = sigma_of[i] * t_tau + tau_of[i] (the
-// sorted-fallback key build of core/prepared.cc, used when the key space
-// t_sigma * t_tau overflows the flat histogram cap). Bucket indices and
-// bucket counts are int32 (rank/element.h), so the widened product is
-// bounded by 2^62 and exact in int64.
-
-inline void JointKeys64Scalar(const std::int32_t* sigma_of,
-                              const std::int32_t* tau_of, std::size_t n,
-                              std::int64_t t_tau, std::int64_t* keys) {
-  for (std::size_t i = 0; i < n; ++i) {
-    keys[i] = static_cast<std::int64_t>(sigma_of[i]) * t_tau + tau_of[i];
-  }
-}
-
-#if RANKTIES_SIMD_X86
-__attribute__((target("avx2"))) inline void JointKeys64Avx2(
-    const std::int32_t* sigma_of, const std::int32_t* tau_of, std::size_t n,
-    std::int64_t t_tau, std::int64_t* keys) {
-  // t_tau is a bucket count, so it fits in 32 bits and mul_epi32 (signed
-  // 32x32 -> 64 on the low dwords of each lane) computes the full product.
-  const __m256i vt = _mm256_set1_epi64x(t_tau);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i vs = _mm256_cvtepi32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(sigma_of + i)));
-    const __m256i vb = _mm256_cvtepi32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(tau_of + i)));
-    const __m256i key = _mm256_add_epi64(_mm256_mul_epi32(vs, vt), vb);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(keys + i), key);
-  }
-  for (; i < n; ++i) {
-    keys[i] = static_cast<std::int64_t>(sigma_of[i]) * t_tau + tau_of[i];
-  }
-}
-#endif  // RANKTIES_SIMD_X86
-
-/// Dispatching entry point.
-inline void JointKeys64(const std::int32_t* sigma_of,
-                        const std::int32_t* tau_of, std::size_t n,
-                        std::int64_t t_tau, std::int64_t* keys) {
-#if RANKTIES_SIMD_X86
-  if (ActiveLevel() == Level::kAvx2) {
-    JointKeys64Avx2(sigma_of, tau_of, n, t_tau, keys);
-    return;
-  }
-#endif
-  JointKeys64Scalar(sigma_of, tau_of, n, t_tau, keys);
 }
 
 }  // namespace rankties::simd

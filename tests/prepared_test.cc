@@ -18,8 +18,12 @@
 namespace rankties {
 namespace {
 
-// A mixed bag of ranking shapes: varies n, bucket count (hits both the flat
-// and the sort-fallback joint-histogram modes), and tie structure.
+// A mixed bag of ranking shapes: varies n, bucket count and tie structure,
+// and pins the joint walk's feed crossover from both sides. At n = 1000 the
+// flat feed's cap is 32n cells, so a 32-bucket ranking against a full one
+// (32,000 cells) takes the flat feed and a 33-bucket one (33,000) the sorted
+// feed; at n = 40000 the cap is 2^20 cells, so 1024 x 1024 is flat and
+// 1024 x 1025 (1,049,600) is sorted.
 std::vector<BucketOrder> MixedOrders(Rng& rng) {
   std::vector<BucketOrder> orders;
   orders.push_back(BucketOrder());                 // n = 0
@@ -27,11 +31,17 @@ std::vector<BucketOrder> MixedOrders(Rng& rng) {
   orders.push_back(BucketOrder::SingleBucket(40));
   for (const std::size_t n : {2, 3, 17, 40, 129}) {
     orders.push_back(BucketOrder::FromPermutation(
-        Permutation::Random(n, rng)));  // all singletons -> sort fallback
+        Permutation::Random(n, rng)));  // all singletons -> sorted feed
     orders.push_back(RandomBucketOrder(n, rng));
     orders.push_back(RandomFewValued(n, 4.0, rng));  // few buckets -> flat
     orders.push_back(RandomTopK(n, n / 2, rng));
   }
+  orders.push_back(RandomBucketOrderWithBuckets(1000, 32, rng));
+  orders.push_back(RandomBucketOrderWithBuckets(1000, 33, rng));
+  orders.push_back(
+      BucketOrder::FromPermutation(Permutation::Random(1000, rng)));
+  orders.push_back(RandomBucketOrderWithBuckets(40000, 1024, rng));
+  orders.push_back(RandomBucketOrderWithBuckets(40000, 1025, rng));
   return orders;
 }
 
@@ -100,9 +110,9 @@ TEST(PreparedKernelsTest, MatchLegacyOnRandomizedPairs) {
   }
 }
 
-// One scratch driven through wildly varying n / bucket counts / histogram
-// modes: reuse must never leak state between calls (the Fenwick prefix and
-// flat-histogram entries are per-call).
+// One scratch driven through wildly varying n / bucket counts / feeds:
+// reuse must never leak state between calls (the per-tau-bucket slots and
+// the flat histogram's cells are per-call).
 TEST(PreparedKernelsTest, ScratchReuseAcrossVaryingInputs) {
   Rng rng(42);
   const std::vector<BucketOrder> orders = MixedOrders(rng);
@@ -133,27 +143,16 @@ TEST(PreparedKernelsTest, ShrinkingInputsAfterLargeOnes) {
   EXPECT_EQ(before, ref::ComputePairCounts(small_sigma, small_tau));
 }
 
-TEST(PreparedKernelsTest, ReserveIsOptionalAndHarmless) {
-  Rng rng(3);
-  const BucketOrder sigma = RandomFewValued(50, 5.0, rng);
-  const BucketOrder tau = RandomBucketOrder(50, rng);
-  PairScratch cold;
-  PairScratch reserved;
-  reserved.Reserve(50, 50);
-  EXPECT_EQ(ComputePairCounts(sigma, tau, cold),
-            ComputePairCounts(sigma, tau, reserved));
-}
-
 // The core acceptance criterion of the prepared layer: once the scratch has
 // seen the workload's shape, the per-pair kernels never touch the heap.
 TEST(PreparedKernelsTest, WarmKernelsPerformZeroHeapAllocations) {
   Rng rng(11);
   std::vector<BucketOrder> orders;
   for (int i = 0; i < 6; ++i) {
-    orders.push_back(RandomFewValued(200, 4.0, rng));         // flat joint
+    orders.push_back(RandomFewValued(200, 4.0, rng));         // flat feed
     orders.push_back(
         BucketOrder::FromPermutation(Permutation::Random(200, rng)));
-    // ^ all-singleton: t_sigma * t_tau = n^2 -> sort-fallback joint
+    // ^ all-singleton: t_sigma * t_tau = n^2 -> sorted feed
   }
   PairScratch scratch;
   // Warm-up pass: grows the scratch to its high-water mark and runs the
