@@ -14,6 +14,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <utility>
 
 #include "bench_json.h"
 #include "core/batch_engine.h"
@@ -23,6 +25,7 @@
 #include "core/profile_metrics.h"
 #include "gen/mallows.h"
 #include "gen/random_orders.h"
+#include "gen/score_dist.h"
 #include "obs/obs.h"
 #include "ref/per_pair.h"
 #include "util/rng.h"
@@ -105,6 +108,40 @@ std::vector<BucketOrder> MakeFineLists(std::size_t m, std::size_t n,
   return lists;
 }
 
+// rankties-e2e's dist_coarse shape: quantized score draws alternating
+// between Pareto(1.2), whose heavy tail crowds most elements into one
+// bucket, and skew-normal(6.0), 48 levels each. Three of four pairs
+// include a Pareto list, the shape the flat feed's majority-bucket pivot
+// serves.
+std::vector<BucketOrder> MakeSkewedLists(std::size_t m, std::size_t n,
+                                         std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<BucketOrder> lists;
+  lists.reserve(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    SkewedOrderConfig config;
+    config.distribution = i % 2 == 0 ? ScoreDistribution::kPareto
+                                     : ScoreDistribution::kNormalSkewed;
+    config.pareto_shape = 1.2;
+    config.skew_shape = 6.0;
+    config.quantization = 48;
+    StatusOr<BucketOrder> order = SkewedScoreOrder(n, config, rng);
+    if (!order.ok()) std::abort();  // the config above is valid
+    lists.push_back(std::move(*order));
+  }
+  return lists;
+}
+
+// Top-10 lists: every pair pivots on a bottom bucket of n - 10 elements.
+std::vector<BucketOrder> MakeTopKLists(std::size_t m, std::size_t n,
+                                       std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<BucketOrder> lists;
+  lists.reserve(m);
+  for (std::size_t i = 0; i < m; ++i) lists.push_back(RandomTopK(n, 10, rng));
+  return lists;
+}
+
 bool SameMatrix(const std::vector<std::vector<double>>& a,
                 const std::vector<std::vector<double>>& b) {
   if (a.size() != b.size()) return false;
@@ -137,6 +174,9 @@ int RunJsonMode() {
     bool gate_eligible;
     std::vector<BucketOrder> (*make_lists)(std::size_t, std::size_t,
                                            std::uint64_t);
+    // Keys a record apart from another case with the same metric, lists
+    // and n; null for the original cases.
+    const char* mode;
   };
   // The gate cases carry the acceptance criterion (>= 3x on DistanceMatrix
   // at m >= 64, n >= 1000, ties present). Fprof is recorded but not gated:
@@ -144,18 +184,24 @@ int RunJsonMode() {
   // is bounded. The small Kprof case tracks fixed overheads only. FHaus
   // pits the joint-bucket-run kernel against the eight-sort Theorem 5
   // construction (the dedicated >= 50x gate lives in bench_hausdorff).
-  // The n = 1024 cases are the only ones on the sorted feed; they are
-  // recorded and checked for a match, not gated, and keep to 32 lists
-  // because the Theorem 5 construction dominates this binary's run time
-  // in the sanitizer builds.
+  // The n = 1024 cases are recorded and checked for a match, not gated,
+  // and keep to 32 lists because the Theorem 5 construction dominates this
+  // binary's run time in the sanitizer builds. The fine lists are the only
+  // ones on the sorted feed; the skewed and top-k lists ("mode") are the
+  // only ones whose largest buckets hold more than n/2 elements, so they
+  // time the flat feed's majority-bucket pivot.
   const Case cases[] = {
-      {MetricKind::kKprof, 16, 512, 3, false, MakeTiedLists},
-      {MetricKind::kKprof, 64, 1000, 2, true, MakeTiedLists},
-      {MetricKind::kKHaus, 64, 1000, 2, true, MakeTiedLists},
-      {MetricKind::kFprof, 64, 1000, 2, false, MakeTiedLists},
-      {MetricKind::kFHaus, 64, 1000, 2, true, MakeTiedLists},
-      {MetricKind::kKprof, 32, 1024, 2, false, MakeFineLists},
-      {MetricKind::kFHaus, 32, 1024, 2, false, MakeFineLists},
+      {MetricKind::kKprof, 16, 512, 3, false, MakeTiedLists, nullptr},
+      {MetricKind::kKprof, 64, 1000, 2, true, MakeTiedLists, nullptr},
+      {MetricKind::kKHaus, 64, 1000, 2, true, MakeTiedLists, nullptr},
+      {MetricKind::kFprof, 64, 1000, 2, false, MakeTiedLists, nullptr},
+      {MetricKind::kFHaus, 64, 1000, 2, true, MakeTiedLists, nullptr},
+      {MetricKind::kKprof, 32, 1024, 2, false, MakeFineLists, nullptr},
+      {MetricKind::kFHaus, 32, 1024, 2, false, MakeFineLists, nullptr},
+      {MetricKind::kKprof, 32, 1024, 2, false, MakeSkewedLists, "skewed"},
+      {MetricKind::kFHaus, 32, 1024, 2, false, MakeSkewedLists, "skewed"},
+      {MetricKind::kKprof, 32, 1024, 2, false, MakeTopKLists, "topk"},
+      {MetricKind::kFHaus, 32, 1024, 2, false, MakeTopKLists, "topk"},
   };
   std::vector<benchjson::Record> records;
   bool all_match = true;
@@ -189,6 +235,7 @@ int RunJsonMode() {
           .Int("items", static_cast<long long>(pairs))
           .Num("throughput", static_cast<double>(pairs) / seconds)
           .Bool("gate_eligible", c.gate_eligible);
+      if (c.mode != nullptr) record.Str("mode", c.mode);
       if (is_prepared) {
         record.Num("speedup_vs_legacy", legacy_seconds / prepared_seconds)
             .Bool("match_legacy", match);

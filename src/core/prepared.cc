@@ -1,6 +1,7 @@
 #include "core/prepared.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/hausdorff.h"
 #include "core/profile_metrics.h"
@@ -62,6 +63,32 @@ bool GrowTo(std::vector<T>& buffer, std::size_t size) {
   return true;
 }
 
+// The bucket of `order` that holds more than half of its n > 0 elements,
+// or num_buckets() when none does. Such a bucket spans more than half of
+// by_bucket(), so it holds the element at position n/2: O(1).
+std::size_t MajorityBucket(const BucketOrder& order) {
+  const std::size_t n = order.n();
+  const auto middle = static_cast<std::size_t>(order.by_bucket()[n / 2]);
+  const auto b = static_cast<std::size_t>(order.bucket_of()[middle]);
+  return 2 * order.bucket(b).size() > n ? b : order.num_buckets();
+}
+
+// The walk's flat feed pivots on sigma's majority bucket only. What both
+// kernels' visitors sum (the discordant and tied-both counts, FHaus's
+// larger footrule) is symmetric in the pair, so a kernel takes the pair as
+// (tau, sigma) when tau's majority bucket is the larger one. Pairs on the
+// sorted feed keep their order without a scan.
+bool PivotOnTau(const BucketOrder& sigma, const BucketOrder& tau) {
+  if (!UseFlatJoint(sigma.n(), sigma.num_buckets() * tau.num_buckets())) {
+    return false;
+  }
+  const auto majority_size = [](const BucketOrder& order) {
+    const std::size_t b = MajorityBucket(order);
+    return b < order.num_buckets() ? order.bucket(b).size() : 0;
+  };
+  return majority_size(tau) > majority_size(sigma);
+}
+
 }  // namespace
 
 // Calls visit(s, t, c, row_before, slot) for every occupied cell of the
@@ -82,16 +109,43 @@ void PairScratch::WalkJointCells(const BucketOrder& sigma,
   std::int64_t* const per_tau = per_tau_.data();
   std::fill(per_tau, per_tau + t_tau + 1, 0);
   if (UseFlatJoint(n, product)) {
-    // The flat feed: SIMD-staged int32 keys (they fit, the flat key space
-    // is capped at 2^20) scattered serially, then a scan of every cell;
-    // with kEarlierRows, per_tau[t] is a plain column-prefix array.
+    // The flat feed: fill the histogram, then scan every cell; with
+    // kEarlierRows, per_tau[t] is a plain column-prefix array.
     RANKTIES_DCHECK(JointCountsAllZero(cells_, product));
     grew |= GrowTo(cells_, product);
-    grew |= GrowTo(keys32_, n);
-    simd::JointKeys32(sigma_of.data(), tau_of.data(), n,
-                      static_cast<std::int32_t>(t_tau), keys32_.data());
-    for (std::size_t e = 0; e < n; ++e) {
-      ++cells_[static_cast<std::size_t>(keys32_[e])];
+    const std::size_t pivot = MajorityBucket(sigma);
+    if (pivot < t_sigma) {
+      // Sigma bucket `pivot` holds more than n/2 elements. Its row starts
+      // as tau's bucket sizes, and only the other elements are scattered,
+      // bucket by bucket, each moving one count out of the pivot row.
+      // Below n/2 the id-order scatter wins.
+      const std::vector<std::size_t>& sigma_off = sigma.bucket_offset();
+      const std::vector<std::size_t>& tau_off = tau.bucket_offset();
+      const std::vector<ElementId>& by_bucket = sigma.by_bucket();
+      std::int64_t* const pivot_row = cells_.data() + pivot * t_tau;
+      for (std::size_t t = 0; t < t_tau; ++t) {
+        pivot_row[t] = static_cast<std::int64_t>(tau_off[t + 1] - tau_off[t]);
+      }
+      for (std::size_t s = 0; s < t_sigma; ++s) {
+        if (s == pivot) continue;
+        std::int64_t* const row = cells_.data() + s * t_tau;
+        for (std::size_t i = sigma_off[s]; i < sigma_off[s + 1]; ++i) {
+          const auto t = static_cast<std::size_t>(
+              tau_of[static_cast<std::size_t>(by_bucket[i])]);
+          ++row[t];
+          --pivot_row[t];
+        }
+      }
+      RANKTIES_OBS_COUNT("prepared.pivot_walks", 1);
+    } else {
+      // SIMD-staged int32 keys (they fit, the flat key space is capped at
+      // 2^20), scattered serially in id order.
+      grew |= GrowTo(keys32_, n);
+      simd::JointKeys32(sigma_of.data(), tau_of.data(), n,
+                        static_cast<std::int32_t>(t_tau), keys32_.data());
+      for (std::size_t e = 0; e < n; ++e) {
+        ++cells_[static_cast<std::size_t>(keys32_[e])];
+      }
     }
     for (std::size_t s = 0; s < t_sigma; ++s) {
       std::int64_t* const row = cells_.data() + s * t_tau;
@@ -156,20 +210,29 @@ PairCounts ComputePairCounts(const BucketOrder& sigma,
   const std::size_t n = sigma.n();
   PairCounts counts;
   if (n < 2) return counts;
+  if (PivotOnTau(sigma, tau)) {
+    counts = ComputePairCounts(tau, sigma, scratch);
+    std::swap(counts.tied_sigma_only, counts.tied_tau_only);
+    return counts;
+  }
 
   // A cell (s, t) with count c holds choose2(c) tied-both pairs, and each
   // of its elements is discordant with every element of an earlier sigma
   // bucket whose tau bucket lies above t: offset[s] elements precede row s,
-  // `earlier` of them in columns <= t.
+  // `earlier` of them in columns <= t. Both sums stay in locals, so the
+  // visitor neither branches nor stores.
   const std::vector<std::size_t>& offset = sigma.bucket_offset();
+  std::int64_t twice_tied_both = 0;
+  std::int64_t discordant = 0;
   scratch.WalkJointCells</*kEarlierRows=*/true>(
       sigma, tau,
       [&](std::size_t s, std::size_t, std::int64_t c, std::int64_t,
           std::int64_t earlier) {
-        counts.tied_both += CheckedChoose2(c);
-        counts.discordant +=
-            c * (static_cast<std::int64_t>(offset[s]) - earlier);
+        twice_tied_both += CheckedMul(c, c - 1);
+        discordant += c * (static_cast<std::int64_t>(offset[s]) - earlier);
       });
+  counts.tied_both = twice_tied_both / 2;
+  counts.discordant = discordant;
   counts.tied_sigma_only = sigma.tied_pairs() - counts.tied_both;
   counts.tied_tau_only = tau.tied_pairs() - counts.tied_both;
   counts.concordant = CheckedChoose2(static_cast<std::int64_t>(n)) -
@@ -207,6 +270,7 @@ std::int64_t TwiceFHausdorff(const BucketOrder& sigma,
                              PairScratch& scratch) {
   RANKTIES_DCHECK(sigma.n() == tau.n());
   if (sigma.n() < 2) return 0;  // no displacement on a degenerate universe
+  if (PivotOnTau(sigma, tau)) return TwiceFHausdorff(tau, sigma, scratch);
 
   // Theorem 5's two candidate refinement pairs, without materializing them.
   // With rho = identity, the four permutations rank elements by

@@ -37,7 +37,10 @@ using PreparedRanking = BucketOrder;
 /// Reusable per-thread workspace for the prepared kernels. Both kernels
 /// run one walk over the occupied cells of the (sigma bucket, tau bucket)
 /// joint histogram, fed by a flat histogram while t_sigma*t_tau stays a
-/// small multiple of n, and by sorted joint keys beyond that. Buffers only
+/// small multiple of n, and by sorted joint keys beyond that. When one
+/// ranking's largest bucket holds b > n/2 elements, the flat feed scatters
+/// only the other n - b elements and derives that bucket's row from the
+/// other ranking's bucket sizes: O(n - b + t_sigma*t_tau). Buffers only
 /// ever grow (to the largest n / bucket count seen), so a warm scratch
 /// makes every subsequent kernel call allocation-free regardless of how
 /// the inputs' sizes vary call to call. Not thread-safe: one scratch per
@@ -76,8 +79,8 @@ class PairScratch {
   // walk re-zeroes each cell it consumes, so all entries are zero outside
   // a call.
   std::vector<std::int64_t> cells_;
-  // The flat feed's SIMD-staged joint keys (int32: the flat key space is
-  // capped at 2^20).
+  // The flat feed's SIMD-staged joint keys when it scatters in id order
+  // (int32: the flat key space is capped at 2^20).
   std::vector<std::int32_t> keys32_;
   // The sorted feed's joint keys.
   std::vector<std::int64_t> keys64_;
@@ -85,10 +88,12 @@ class PairScratch {
 
 /// Pair classification on two rankings — the five counts of PairCounts,
 /// with zero heap allocations on a warm scratch. One walk over the joint
-/// cells yields tied_both and discordant together: O(n + t_sigma*t_tau)
-/// with the flat feed, O(n log n) with the sorted feed, whose per-cell
-/// earlier-rows counts come from a Fenwick tree updated once per occupied
-/// cell. Requires sigma.n() == tau.n().
+/// cells yields tied_both and discordant together: O(n - b +
+/// t_sigma*t_tau) with the flat feed, where b is the size of a bucket
+/// holding more than n/2 elements (0 when neither ranking has one), and
+/// O(n log n) with the sorted feed, whose per-cell earlier-rows counts
+/// come from a Fenwick tree updated once per occupied cell. Requires
+/// sigma.n() == tau.n().
 [[nodiscard]] PairCounts ComputePairCounts(const BucketOrder& sigma,
                                            const BucketOrder& tau,
                                            PairScratch& scratch);
@@ -120,8 +125,9 @@ class PairScratch {
 /// constant across the cell and each candidate footrule collapses to a sum
 /// of cnt(s, t) * |cell displacement| over the occupied cells (derivation
 /// in DESIGN.md §7), visited by the same joint-cell walk as
-/// ComputePairCounts: O(n + t_sigma*t_tau) with the flat feed, O(n log n)
-/// with the sorted feed; zero allocations on a warm scratch;
+/// ComputePairCounts: O(n - b + t_sigma*t_tau) with the flat feed for a
+/// majority bucket of b elements (b = 0 without one), O(n log n) with the
+/// sorted feed; zero allocations on a warm scratch;
 /// bit-identical to the explicit construction, which lives on in src/ref
 /// (ref::TwiceFHausdorffTheorem5) as the independently-built oracle.
 [[nodiscard]] std::int64_t TwiceFHausdorff(const BucketOrder& sigma,

@@ -11,6 +11,7 @@
 #include "core/pair_counts.h"
 #include "core/profile_metrics.h"
 #include "gen/random_orders.h"
+#include "obs/obs.h"
 #include "rank/bucket_order.h"
 #include "ref/per_pair.h"
 #include "util/rng.h"
@@ -18,12 +19,37 @@
 namespace rankties {
 namespace {
 
+// A ranking of n elements whose bucket `at` holds `size` random elements;
+// the other `others` buckets share the rest round-robin.
+BucketOrder WithLargestBucket(std::size_t n, std::size_t size,
+                              std::size_t others, std::size_t at, Rng& rng) {
+  const Permutation perm = Permutation::Random(n, rng);
+  std::vector<BucketIndex> bucket_of(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t b = at;
+    if (i >= size) {
+      b = (i - size) % others;
+      if (b >= at) ++b;
+    }
+    bucket_of[static_cast<std::size_t>(perm.At(static_cast<ElementId>(i)))] =
+        static_cast<BucketIndex>(b);
+  }
+  StatusOr<BucketOrder> order = BucketOrder::FromBucketIndex(bucket_of);
+  EXPECT_TRUE(order.ok());
+  return *order;
+}
+
 // A mixed bag of ranking shapes: varies n, bucket count and tie structure,
-// and pins the joint walk's feed crossover from both sides. At n = 1000 the
-// flat feed's cap is 32n cells, so a 32-bucket ranking against a full one
-// (32,000 cells) takes the flat feed and a 33-bucket one (33,000) the sorted
-// feed; at n = 40000 the cap is 2^20 cells, so 1024 x 1024 is flat and
-// 1024 x 1025 (1,049,600) is sorted.
+// and pins the joint walk's feed crossover and the flat feed's pivot from
+// both sides. At n = 1000 the flat feed's cap is 32n cells, so a 32-bucket
+// ranking against a full one (32,000 cells) takes the flat feed and a
+// 33-bucket one (33,000) the sorted feed; at n = 40000 the cap is 2^20
+// cells, so 1024 x 1024 is flat and 1024 x 1025 (1,049,600) is sorted.
+// Back at n = 1000, a largest bucket of exactly 500 keeps the id-order
+// scatter and one of 501 is a pivot; two rankings share a largest-bucket
+// size of 700, so neither side is preferred; and top-k lists pivot on
+// their bottom bucket, top-31 against the full ranking exactly on the 32n
+// cap.
 std::vector<BucketOrder> MixedOrders(Rng& rng) {
   std::vector<BucketOrder> orders;
   orders.push_back(BucketOrder());                 // n = 0
@@ -42,6 +68,13 @@ std::vector<BucketOrder> MixedOrders(Rng& rng) {
       BucketOrder::FromPermutation(Permutation::Random(1000, rng)));
   orders.push_back(RandomBucketOrderWithBuckets(40000, 1024, rng));
   orders.push_back(RandomBucketOrderWithBuckets(40000, 1025, rng));
+  orders.push_back(WithLargestBucket(1000, 500, 20, 7, rng));
+  orders.push_back(WithLargestBucket(1000, 501, 20, 7, rng));
+  orders.push_back(WithLargestBucket(1000, 700, 12, 0, rng));
+  orders.push_back(WithLargestBucket(1000, 700, 30, 30, rng));
+  for (const std::size_t k : {1, 10, 31}) {
+    orders.push_back(RandomTopK(1000, k, rng));
+  }
   return orders;
 }
 
@@ -110,9 +143,9 @@ TEST(PreparedKernelsTest, MatchLegacyOnRandomizedPairs) {
   }
 }
 
-// One scratch driven through wildly varying n / bucket counts / feeds:
-// reuse must never leak state between calls (the per-tau-bucket slots and
-// the flat histogram's cells are per-call).
+// One scratch driven through wildly varying n / bucket counts / feeds, in
+// both argument orders: reuse must never leak state between calls (the
+// per-tau-bucket slots and the flat histogram's cells are per-call).
 TEST(PreparedKernelsTest, ScratchReuseAcrossVaryingInputs) {
   Rng rng(42);
   const std::vector<BucketOrder> orders = MixedOrders(rng);
@@ -153,6 +186,7 @@ TEST(PreparedKernelsTest, WarmKernelsPerformZeroHeapAllocations) {
     orders.push_back(
         BucketOrder::FromPermutation(Permutation::Random(200, rng)));
     // ^ all-singleton: t_sigma * t_tau = n^2 -> sorted feed
+    orders.push_back(RandomTopK(200, 5, rng));  // flat feed, pivot
   }
   PairScratch scratch;
   // Warm-up pass: grows the scratch to its high-water mark and runs the
@@ -182,6 +216,41 @@ TEST(PreparedKernelsTest, WarmKernelsPerformZeroHeapAllocations) {
   EXPECT_EQ(g_allocation_count, 0)
       << "warm prepared kernels must not allocate";
   EXPECT_EQ(counted, checksum);
+}
+
+// `prepared.pivot_walks` counts one per walk that pivoted: two top-10
+// lists pivot on a bottom bucket of 990, while two rankings whose largest
+// buckets hold exactly n/2 keep the id-order scatter. The kernel pivots on
+// tau's majority bucket too, and finds one that ends or starts just past
+// the middle of by_bucket(): [500, 1001) in a top-500 list of 1001, and
+// [0, 501) in a ranking of 1000.
+TEST(PreparedKernelsTest, PivotWalksAreCounted) {
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  if (!obs::Enabled()) GTEST_SKIP() << "obs is compiled out";
+  const obs::Counter* pivots = obs::GetCounter("prepared.pivot_walks");
+  Rng rng(22);
+  const BucketOrder top_a = RandomTopK(1000, 10, rng);
+  const BucketOrder top_b = RandomTopK(1000, 10, rng);
+  const BucketOrder half_a = WithLargestBucket(1000, 500, 20, 7, rng);
+  const BucketOrder half_b = WithLargestBucket(1000, 500, 40, 40, rng);
+  const BucketOrder top_500 = RandomTopK(1001, 500, rng);
+  const BucketOrder odd_32 = RandomBucketOrderWithBuckets(1001, 32, rng);
+  const BucketOrder front_501 = WithLargestBucket(1000, 501, 20, 0, rng);
+  PairScratch scratch;
+  const auto pivots_in = [&](const BucketOrder& sigma,
+                             const BucketOrder& tau) {
+    const std::int64_t before = pivots->Value();
+    EXPECT_EQ(ComputePairCounts(sigma, tau, scratch),
+              ref::ComputePairCounts(sigma, tau));
+    return pivots->Value() - before;
+  };
+  EXPECT_EQ(pivots_in(top_a, top_b), 1);
+  EXPECT_EQ(pivots_in(half_a, half_b), 0);
+  EXPECT_EQ(pivots_in(half_a, top_a), 1);
+  EXPECT_EQ(pivots_in(odd_32, top_500), 1);
+  EXPECT_EQ(pivots_in(half_a, front_501), 1);
+  obs::SetEnabled(was_enabled);
 }
 
 // Contrast case documenting why batch loops pass their own scratch: the

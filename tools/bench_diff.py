@@ -41,9 +41,10 @@ def load_records(path: str) -> list[dict]:
 
 def record_key(record: dict) -> tuple:
     key = tuple(record.get(field) for field in KEY_FIELDS)
-    # bench_pairwise emits two records with identical identity fields per
-    # workload: the serial baseline and the pool run (which carries
-    # speedup/match_serial). Split them so neither row is silently dropped.
+    # bench_metrics and bench_aggregation emit two records with identical
+    # identity fields per workload: the serial baseline and the pool run
+    # (which carries speedup/match_serial). Split them so neither row is
+    # silently dropped.
     return key + ("vs_serial" if "speedup" in record else None,)
 
 
