@@ -33,7 +33,7 @@
 #include "gen/mallows.h"
 #include "obs/obs.h"
 #include "gen/random_orders.h"
-#include "rank/refinement.h"
+#include "ref/ref_metrics.h"
 #include "util/stats.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -64,11 +64,11 @@ void TheoremNine() {
       if (!ours.ok()) continue;
       const std::int64_t our_cost = TwiceTotalFprof(*ours, inputs);
       std::int64_t best = std::numeric_limits<std::int64_t>::max();
-      ForEachFullRefinement(
-          BucketOrder::SingleBucket(n), [&](const Permutation& p) {
+      ref::ForEachRefinementOrder(
+          BucketOrder::SingleBucket(n), [&](const std::vector<ElementId>& o) {
+            const Permutation p = Permutation::FromOrder(o).value();
             best = std::min(best, TwiceTotalFprof(BucketOrder::TopKOf(p, k),
                                                   inputs));
-            return true;
           });
       ratios.push_back(ApproxRatio(static_cast<double>(our_cost),
                                    static_cast<double>(best)));

@@ -22,6 +22,7 @@
 #include "gen/mallows.h"
 #include "gen/random_orders.h"
 #include "ref/per_pair.h"
+#include "ref/ref_metrics.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -97,7 +98,7 @@ void BM_PairCountsNaive(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const auto [sigma, tau] = MakePair(n, 6);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ComputePairCountsNaive(sigma, tau));
+    benchmark::DoNotOptimize(ref::ClassifyPairs(sigma, tau));
   }
 }
 BENCHMARK(BM_PairCountsNaive)->RangeMultiplier(4)->Range(64, 4096);

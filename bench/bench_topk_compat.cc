@@ -7,17 +7,20 @@
 #include "core/footrule.h"
 #include "core/profile_metrics.h"
 #include "gen/random_orders.h"
+#include "ref/ref_metrics.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 
 namespace rankties {
 namespace {
 
-void FprofVsLocationParameter() {
+// Returns the number of pairs on which Fprof and F^(l) differ.
+std::int64_t FprofVsLocationParameter() {
   std::printf("\n### Fprof == F^(l) at l=(|D|+k+1)/2 over random top-k "
               "pairs\n");
   std::printf("%-8s %-8s %-10s %-12s %s\n", "n", "k", "pairs", "mismatches",
               "sample Fprof");
+  std::int64_t total_mismatches = 0;
   for (const auto& [n, k] : {std::pair<std::size_t, std::size_t>{20, 5},
                             {100, 10},
                             {1000, 50},
@@ -36,13 +39,17 @@ void FprofVsLocationParameter() {
     }
     std::printf("%-8zu %-8zu %-10d %-12lld %.1f\n", n, k, pairs,
                 static_cast<long long>(mismatches), sample);
+    total_mismatches += mismatches;
   }
+  return total_mismatches;
 }
 
-void KprofVsKavg() {
+// Returns the largest |Kprof - Kavg| over the pairs; A.3 makes it 0.
+double KprofVsKavg() {
   std::printf("\n### Kprof == Kavg on active-domain top-k lists "
               "(brute-force Kavg)\n");
   std::printf("%-8s %-10s %-12s\n", "k", "pairs", "max |diff|");
+  double worst = 0;
   for (std::size_t k : {1u, 2u, 3u}) {
     Rng rng(91 + k);
     double max_diff = 0;
@@ -57,10 +64,12 @@ void KprofVsKavg() {
       const BucketOrder sigma = BucketOrder::TopKOf(p, k);
       const BucketOrder tau = BucketOrder::TopKOf(*q, k);
       max_diff = std::max(
-          max_diff, std::abs(Kprof(sigma, tau) - KavgBrute(sigma, tau)));
+          max_diff, std::abs(Kprof(sigma, tau) - ref::Kavg(sigma, tau)));
     }
     std::printf("%-8zu %-10d %-12g\n", k, 10, max_diff);
+    worst = std::max(worst, max_diff);
   }
+  return worst;
 }
 
 void Throughput() {
@@ -87,8 +96,15 @@ void Throughput() {
 
 int main() {
   std::printf("=== E12: top-k compatibility with [10] (Appendix A.3) ===\n");
-  rankties::FprofVsLocationParameter();
-  rankties::KprofVsKavg();
+  const std::int64_t mismatches = rankties::FprofVsLocationParameter();
+  const double kavg_diff = rankties::KprofVsKavg();
   rankties::Throughput();
+  if (mismatches != 0 || kavg_diff != 0.0) {
+    std::fprintf(stderr,
+                 "bench_topk_compat: %lld Fprof != F^(l) pairs, max "
+                 "|Kprof - Kavg| %g\n",
+                 static_cast<long long>(mismatches), kavg_diff);
+    return 1;
+  }
   return 0;
 }

@@ -30,11 +30,6 @@ std::int64_t TwiceFHausdorff(const BucketOrder& sigma, const BucketOrder& tau);
 /// FHaus as a double.
 double FHausdorff(const BucketOrder& sigma, const BucketOrder& tau);
 
-/// Brute-force Hausdorff oracles that enumerate every full refinement on
-/// both sides (exponential; small domains only, used to validate Theorem 5).
-std::int64_t KHausdorffBrute(const BucketOrder& sigma, const BucketOrder& tau);
-std::int64_t FHausdorffBrute(const BucketOrder& sigma, const BucketOrder& tau);
-
 }  // namespace rankties
 
 #endif  // RANKTIES_CORE_HAUSDORFF_H_

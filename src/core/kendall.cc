@@ -51,20 +51,6 @@ std::int64_t KendallTau(const Permutation& sigma, const Permutation& tau) {
   return CountInversions(tau_ranks);
 }
 
-std::int64_t KendallTauNaive(const Permutation& sigma, const Permutation& tau) {
-  RANKTIES_DCHECK(sigma.n() == tau.n());
-  const std::size_t n = sigma.n();
-  std::int64_t distance = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const ElementId a = static_cast<ElementId>(i);
-      const ElementId b = static_cast<ElementId>(j);
-      if (sigma.Ahead(a, b) != tau.Ahead(a, b)) ++distance;
-    }
-  }
-  return distance;
-}
-
 std::int64_t MaxKendall(std::size_t n) {
   if (n < 2) return 0;
   // n(n-1)/2 silently wraps for n a little past 2^32; divide the even factor

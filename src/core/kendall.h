@@ -13,9 +13,6 @@ namespace rankties {
 /// inversion counting.
 std::int64_t KendallTau(const Permutation& sigma, const Permutation& tau);
 
-/// Reference O(n^2) implementation for cross-checks.
-std::int64_t KendallTauNaive(const Permutation& sigma, const Permutation& tau);
-
 /// Maximum possible Kendall distance on n elements: n(n-1)/2.
 std::int64_t MaxKendall(std::size_t n);
 

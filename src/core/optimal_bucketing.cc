@@ -1,12 +1,10 @@
 #include "core/optimal_bucketing.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <string>
 
-#include "util/combinatorics.h"
 #include "util/contracts.h"
 
 namespace rankties {
@@ -119,55 +117,6 @@ StatusOr<BucketingResult> OptimalBucketing(
   }
   if (Status range = CheckScoreRange(quad_scores); !range.ok()) return range;
   return Solve(SortScores(quad_scores));
-}
-
-StatusOr<std::int64_t> BucketingCostQuad(
-    const std::vector<std::int64_t>& quad_scores,
-    const std::vector<std::size_t>& sizes) {
-  std::size_t total = 0;
-  for (std::size_t s : sizes) {
-    if (s == 0) return Status::InvalidArgument("zero bucket size");
-    total += s;
-  }
-  if (total != quad_scores.size()) {
-    return Status::InvalidArgument("sizes do not sum to n");
-  }
-  if (Status range = CheckScoreRange(quad_scores); !range.ok()) return range;
-  const SortedScores sorted = SortScores(quad_scores);
-  std::int64_t cost = 0;
-  std::size_t i = 0;
-  for (std::size_t s : sizes) {
-    const std::size_t j = i + s;
-    const std::int64_t m = 2 * static_cast<std::int64_t>(i + j + 1);
-    for (std::size_t l = i + 1; l <= j; ++l) {
-      cost += std::abs(sorted.f[l] - m);
-    }
-    i = j;
-  }
-  return cost;
-}
-
-StatusOr<BucketingResult> OptimalBucketingBrute(
-    const std::vector<std::int64_t>& quad_scores) {
-  const std::size_t n = quad_scores.size();
-  if (n == 0) return Status::InvalidArgument("no scores");
-  if (n > 20) {
-    return Status::InvalidArgument("brute force limited to n <= 20");
-  }
-  if (Status range = CheckScoreRange(quad_scores); !range.ok()) return range;
-  const SortedScores sorted = SortScores(quad_scores);
-  std::int64_t best_cost = kInf;
-  std::vector<std::size_t> best_sizes;
-  ForEachComposition(n, [&](const std::vector<std::size_t>& sizes) {
-    StatusOr<std::int64_t> cost = BucketingCostQuad(quad_scores, sizes);
-    RANKTIES_DCHECK_OK(cost);
-    if (*cost < best_cost) {
-      best_cost = *cost;
-      best_sizes = sizes;
-    }
-    return true;
-  });
-  return FromType(sorted, best_sizes, best_cost);
 }
 
 }  // namespace rankties

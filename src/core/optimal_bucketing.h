@@ -29,20 +29,6 @@ struct BucketingResult {
 StatusOr<BucketingResult> OptimalBucketing(
     const std::vector<std::int64_t>& quad_scores);
 
-/// Exhaustive reference: tries every composition of n as the type of a
-/// bucket order consistent with the sorted scores (optimal by the paper's
-/// Lemma 27) and returns the best. O(2^(n-1)); small n only.
-StatusOr<BucketingResult> OptimalBucketingBrute(
-    const std::vector<std::int64_t>& quad_scores);
-
-/// Cost (in quad units) of bucketing the elements, sorted ascending by
-/// `quad_scores`, into consecutive blocks of the given sizes:
-/// 4 * L1(order, f). Helper shared with tests/benches. Fails if sizes do
-/// not sum to n, or on scores OptimalBucketing refuses.
-StatusOr<std::int64_t> BucketingCostQuad(
-    const std::vector<std::int64_t>& quad_scores,
-    const std::vector<std::size_t>& sizes);
-
 }  // namespace rankties
 
 #endif  // RANKTIES_CORE_OPTIMAL_BUCKETING_H_

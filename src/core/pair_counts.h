@@ -52,10 +52,6 @@ struct PairCounts {
 /// sigma.n() == tau.n().
 PairCounts ComputePairCounts(const BucketOrder& sigma, const BucketOrder& tau);
 
-/// Reference O(n^2) implementation used to cross-check the fast path.
-PairCounts ComputePairCountsNaive(const BucketOrder& sigma,
-                                  const BucketOrder& tau);
-
 }  // namespace rankties
 
 #endif  // RANKTIES_CORE_PAIR_COUNTS_H_

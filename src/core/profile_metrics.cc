@@ -97,20 +97,4 @@ double KavgSampled(const BucketOrder& sigma, const BucketOrder& tau,
   return static_cast<double>(total) / static_cast<double>(samples);
 }
 
-double KavgBrute(const BucketOrder& sigma, const BucketOrder& tau) {
-  if (sigma.n() < 2) return 0.0;  // skip enumeration on degenerate inputs
-  std::int64_t total = 0;
-  std::int64_t pairs = 0;
-  ForEachFullRefinement(sigma, [&](const Permutation& s) {
-    ForEachFullRefinement(tau, [&](const Permutation& t) {
-      total += KendallTau(s, t);
-      ++pairs;
-      return true;
-    });
-    return true;
-  });
-  RANKTIES_DCHECK(pairs > 0);
-  return static_cast<double>(total) / static_cast<double>(pairs);
-}
-
 }  // namespace rankties

@@ -54,15 +54,11 @@ std::int64_t TwiceKprofFromProfiles(const std::vector<std::int8_t>& a,
 /// The F-profile: the vector of doubled positions <2*sigma(i)> (paper §3.1).
 std::vector<std::int64_t> FProfileTwice(const BucketOrder& sigma);
 
-/// Kavg for top-k lists (paper A.3, from [10]): the average of K(s, t) over
-/// all full refinements s of sigma and t of tau. Exponential-time reference
-/// (enumeration); small domains only. The paper notes Kprof == Kavg for
-/// top-k lists; tests verify this.
-double KavgBrute(const BucketOrder& sigma, const BucketOrder& tau);
-
-/// Kavg in closed form, O(n log n): a discordant pair contributes 1, a
-/// pair tied in at least one input contributes 1/2 (independent uniform
-/// tie-breaks agree half the time), concordant pairs 0. So
+/// Kavg (paper A.3, from [10]): the average of K(s, t) over all full
+/// refinements s of sigma and t of tau, in closed form, O(n log n). A
+/// discordant pair contributes 1, a pair tied in at least one input
+/// contributes 1/2 (independent uniform tie-breaks agree half the time),
+/// concordant pairs 0. So
 ///     Kavg = D + (S + T + B) / 2,
 /// which equals Kprof exactly when no pair is tied in *both* inputs —
 /// explaining A.3's observation that Kavg is a distance measure on top-k

@@ -2,7 +2,6 @@
 #include "util/contracts.h"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
 namespace rankties {
@@ -63,55 +62,6 @@ Permutation TauRefineFull(const Permutation& tau, const BucketOrder& sigma) {
   StatusOr<Permutation> perm = Permutation::FromOrder(elems);
   RANKTIES_DCHECK_OK(perm);
   return std::move(perm).value();
-}
-
-namespace {
-
-// Recursively permutes buckets [b..t) appending to `prefix`.
-bool EnumerateBuckets(const BucketOrder& sigma, std::size_t b,
-                      std::vector<ElementId>& prefix,
-                      const std::function<bool(const Permutation&)>& visit) {
-  if (b == sigma.num_buckets()) {
-    StatusOr<Permutation> perm = Permutation::FromOrder(prefix);
-    RANKTIES_DCHECK_OK(perm);
-    return visit(perm.value());
-  }
-  // Ascending, so the first permutation.
-  std::vector<ElementId> bucket(sigma.bucket(b).begin(), sigma.bucket(b).end());
-  const std::size_t base = prefix.size();
-  prefix.resize(base + bucket.size());
-  do {
-    std::copy(bucket.begin(), bucket.end(), prefix.begin() + base);
-    if (!EnumerateBuckets(sigma, b + 1, prefix, visit)) {
-      prefix.resize(base);
-      return false;
-    }
-  } while (std::next_permutation(bucket.begin(), bucket.end()));
-  prefix.resize(base);
-  return true;
-}
-
-}  // namespace
-
-void ForEachFullRefinement(
-    const BucketOrder& sigma,
-    const std::function<bool(const Permutation&)>& visit) {
-  std::vector<ElementId> prefix;
-  prefix.reserve(sigma.n());
-  EnumerateBuckets(sigma, 0, prefix, visit);
-}
-
-std::int64_t CountFullRefinements(const BucketOrder& sigma) {
-  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
-  std::int64_t count = 1;
-  for (std::size_t b = 0; b < sigma.num_buckets(); ++b) {
-    for (std::int64_t f = 2;
-         f <= static_cast<std::int64_t>(sigma.bucket(b).size()); ++f) {
-      if (count > kMax / f) return kMax;
-      count *= f;
-    }
-  }
-  return count;
 }
 
 Permutation RandomFullRefinement(const BucketOrder& sigma, Rng& rng) {

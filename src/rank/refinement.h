@@ -1,10 +1,6 @@
 #ifndef RANKTIES_RANK_REFINEMENT_H_
 #define RANKTIES_RANK_REFINEMENT_H_
 
-#include <cstdint>
-#include <functional>
-#include <vector>
-
 #include "rank/bucket_order.h"
 #include "rank/permutation.h"
 #include "util/rng.h"
@@ -27,18 +23,6 @@ BucketOrder TauRefine(const BucketOrder& tau, const BucketOrder& sigma);
 /// tau * sigma where tau is a full ranking; the result is then a full
 /// ranking (paper §2), returned as a Permutation.
 Permutation TauRefineFull(const Permutation& tau, const BucketOrder& sigma);
-
-/// Enumerates every full refinement of `sigma` (product over buckets of all
-/// in-bucket permutations), invoking `visit` for each. Exponential; intended
-/// for small domains in tests and the brute-force Hausdorff oracle.
-/// Enumeration stops early if `visit` returns false.
-void ForEachFullRefinement(
-    const BucketOrder& sigma,
-    const std::function<bool(const Permutation&)>& visit);
-
-/// Number of full refinements of `sigma` (product of bucket factorials).
-/// Saturates at INT64_MAX.
-std::int64_t CountFullRefinements(const BucketOrder& sigma);
 
 /// A uniformly random full refinement of `sigma`.
 Permutation RandomFullRefinement(const BucketOrder& sigma, Rng& rng);

@@ -106,31 +106,6 @@ std::int64_t HausdorffOnSets(const std::vector<std::vector<std::int32_t>>& xs,
   return std::max(directed(xs, ys), directed(ys, xs));
 }
 
-// Tallies of the definitional O(n^2) pair loop (paper §3.1).
-struct PairTally {
-  std::int64_t discordant = 0;
-  std::int64_t tied_in_exactly_one = 0;
-};
-
-PairTally TallyPairs(const BucketOrder& sigma, const BucketOrder& tau) {
-  RANKTIES_DCHECK(sigma.n() == tau.n());
-  PairTally tally;
-  for (std::size_t i = 0; i < sigma.n(); ++i) {
-    for (std::size_t j = i + 1; j < sigma.n(); ++j) {
-      const ElementId a = static_cast<ElementId>(i);
-      const ElementId b = static_cast<ElementId>(j);
-      const bool tied_s = sigma.Tied(a, b);
-      const bool tied_t = tau.Tied(a, b);
-      if (tied_s != tied_t) {
-        ++tally.tied_in_exactly_one;
-      } else if (!tied_s && sigma.Ahead(a, b) != tau.Ahead(a, b)) {
-        ++tally.discordant;
-      }
-    }
-  }
-  return tally;
-}
-
 std::int64_t SaturatingFactorialProduct(const BucketOrder& sigma,
                                         std::int64_t acc) {
   constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
@@ -200,18 +175,43 @@ std::int64_t TwiceFprof(const BucketOrder& sigma, const BucketOrder& tau) {
   return total;
 }
 
+PairCounts ClassifyPairs(const BucketOrder& sigma, const BucketOrder& tau) {
+  RANKTIES_DCHECK(sigma.n() == tau.n());
+  PairCounts counts;
+  for (std::size_t i = 0; i < sigma.n(); ++i) {
+    for (std::size_t j = i + 1; j < sigma.n(); ++j) {
+      const ElementId a = static_cast<ElementId>(i);
+      const ElementId b = static_cast<ElementId>(j);
+      const bool tied_s = sigma.Tied(a, b);
+      const bool tied_t = tau.Tied(a, b);
+      if (tied_s && tied_t) {
+        ++counts.tied_both;
+      } else if (tied_s) {
+        ++counts.tied_sigma_only;
+      } else if (tied_t) {
+        ++counts.tied_tau_only;
+      } else if (sigma.Ahead(a, b) == tau.Ahead(a, b)) {
+        ++counts.concordant;
+      } else {
+        ++counts.discordant;
+      }
+    }
+  }
+  return counts;
+}
+
 std::int64_t TwiceKprof(const BucketOrder& sigma, const BucketOrder& tau) {
-  const PairTally tally = TallyPairs(sigma, tau);
-  return 2 * tally.discordant + tally.tied_in_exactly_one;
+  const PairCounts c = ClassifyPairs(sigma, tau);
+  return 2 * c.discordant + c.tied_sigma_only + c.tied_tau_only;
 }
 
 double KendallP(const BucketOrder& sigma, const BucketOrder& tau, double p) {
   RANKTIES_DCHECK(p >= 0.0 && p <= 1.0);
-  const PairTally tally = TallyPairs(sigma, tau);
+  const PairCounts c = ClassifyPairs(sigma, tau);
   // Same final expression as the optimized KendallPFromCounts, so equal
-  // integer tallies give bit-identical doubles.
-  return static_cast<double>(tally.discordant) +
-         p * static_cast<double>(tally.tied_in_exactly_one);
+  // integer classes give bit-identical doubles.
+  return static_cast<double>(c.discordant) +
+         p * static_cast<double>(c.tied_sigma_only + c.tied_tau_only);
 }
 
 void ForEachRefinementOrder(
@@ -239,6 +239,20 @@ std::int64_t TwiceFHausdorff(const BucketOrder& sigma,
   RANKTIES_DCHECK(sigma.n() == tau.n());
   return 2 * HausdorffOnSets(CollectRefinementRanks(sigma),
                              CollectRefinementRanks(tau), FootruleOnRanks);
+}
+
+double Kavg(const BucketOrder& sigma, const BucketOrder& tau) {
+  RANKTIES_DCHECK(sigma.n() == tau.n());
+  const std::vector<std::vector<std::int32_t>> xs =
+      CollectRefinementRanks(sigma);
+  const std::vector<std::vector<std::int32_t>> ys =
+      CollectRefinementRanks(tau);
+  std::int64_t total = 0;
+  for (const auto& x : xs) {
+    for (const auto& y : ys) total += KendallOnRanks(x, y);
+  }
+  return static_cast<double>(total) /
+         static_cast<double>(xs.size() * ys.size());
 }
 
 double ComputeMetric(MetricKind kind, const BucketOrder& sigma,

@@ -17,7 +17,7 @@
 #include "core/median_rank.h"
 #include "gen/mallows.h"
 #include "gen/random_orders.h"
-#include "rank/refinement.h"
+#include "ref/ref_metrics.h"
 #include "util/rng.h"
 
 namespace rankties {
@@ -81,14 +81,12 @@ TEST(FootruleOptimalTest, IsTrulyOptimalOnSmallDomains) {
                            BucketOrder::FromPermutation(optimal->ranking),
                            inputs));
     // No full ranking does better.
-    ForEachFullRefinement(BucketOrder::SingleBucket(5),
-                          [&](const Permutation& p) {
-                            EXPECT_GE(TwiceTotalFprof(
-                                          BucketOrder::FromPermutation(p),
-                                          inputs),
-                                      claimed);
-                            return true;
-                          });
+    ref::ForEachRefinementOrder(
+        BucketOrder::SingleBucket(5), [&](const std::vector<ElementId>& o) {
+          const Permutation p = Permutation::FromOrder(o).value();
+          EXPECT_GE(TwiceTotalFprof(BucketOrder::FromPermutation(p), inputs),
+                    claimed);
+        });
   }
 }
 
@@ -118,14 +116,13 @@ TEST(KemenyTest, MatchesBruteForceMinimum) {
     auto kemeny = ExactKemeny(inputs, 0.5);
     ASSERT_TRUE(kemeny.ok());
     double best = std::numeric_limits<double>::infinity();
-    ForEachFullRefinement(BucketOrder::SingleBucket(5),
-                          [&](const Permutation& p) {
-                            best = std::min(
-                                best, TotalKendallP(
-                                          BucketOrder::FromPermutation(p),
-                                          inputs, 0.5));
-                            return true;
-                          });
+    ref::ForEachRefinementOrder(
+        BucketOrder::SingleBucket(5), [&](const std::vector<ElementId>& o) {
+          const Permutation p = Permutation::FromOrder(o).value();
+          best = std::min(
+              best,
+              TotalKendallP(BucketOrder::FromPermutation(p), inputs, 0.5));
+        });
     EXPECT_DOUBLE_EQ(kemeny->total_cost, best);
     EXPECT_DOUBLE_EQ(
         TotalKendallP(BucketOrder::FromPermutation(kemeny->ranking), inputs,

@@ -56,7 +56,7 @@ TEST(DegenerateInputsTest, EmptyRanking) {
   ASSERT_EQ(empty.n(), 0u);
   ExpectAllMetricsZero(empty, empty);
   EXPECT_EQ(Kavg(empty, empty), 0.0);
-  EXPECT_EQ(KavgBrute(empty, empty), 0.0);
+  EXPECT_EQ(ref::Kavg(empty, empty), 0.0);
   Rng rng(1);
   EXPECT_EQ(KavgSampled(empty, empty, 16, rng), 0.0);
 }
@@ -67,7 +67,7 @@ TEST(DegenerateInputsTest, SingleElementUniverse) {
   ExpectAllMetricsZero(single, single);
   ExpectAllMetricsZero(single, as_perm);
   EXPECT_EQ(Kavg(single, as_perm), 0.0);
-  EXPECT_EQ(KavgBrute(single, as_perm), 0.0);
+  EXPECT_EQ(ref::Kavg(single, as_perm), 0.0);
   Rng rng(2);
   EXPECT_EQ(KavgSampled(single, as_perm, 16, rng), 0.0);
 }

@@ -37,6 +37,14 @@ std::string Render(double v) {
 
 std::string Render(std::int64_t v) { return std::to_string(v); }
 
+std::string Render(const PairCounts& v) {
+  std::ostringstream out;
+  out << "{C " << v.concordant << ", D " << v.discordant;
+  out << ", S " << v.tied_sigma_only << ", T " << v.tied_tau_only;
+  out << ", B " << v.tied_both << "}";
+  return out.str();
+}
+
 void Fail(const FuzzCase& c, const char* property, const std::string& detail,
           CheckStats* stats) {
   std::ostringstream out;
@@ -91,6 +99,9 @@ void CheckDifferential(const FuzzCase& c, const DriverOptions& options,
              ref::KHausdorff(sigma, tau), stats);
     ExpectEq(c, "FHaus-vs-enumeration", TwiceFHausdorff(sigma, tau),
              ref::TwiceFHausdorff(sigma, tau), stats);
+    // Both sides are the same exact half-integer, so == is the check.
+    ExpectEq(c, "Kavg-vs-enumeration", Kavg(sigma, tau), ref::Kavg(sigma, tau),
+             stats);
   }
 
   // The registry dispatch agrees with the oracle dispatch bit-for-bit on
@@ -107,11 +118,16 @@ void CheckDifferential(const FuzzCase& c, const DriverOptions& options,
   {
     static PairScratch scratch;
     const PairCounts counts = ref::ComputePairCounts(sigma, tau);
+    const PairCounts kernel = ComputePairCounts(sigma, tau, scratch);
     ++stats->comparisons;
-    if (!(ComputePairCounts(sigma, tau, scratch) == counts)) {
+    if (!(kernel == counts)) {
       Fail(c, "prepared-pair-counts",
            "kernel and per-pair pair classification disagree", stats);
     }
+    // All five classes, tied_both included (only Kavg reads it), against
+    // the definitional pair loop.
+    ExpectEq(c, "pair-classes-vs-oracle", kernel,
+             ref::ClassifyPairs(sigma, tau), stats);
     ExpectEq(c, "prepared-Kprof", TwiceKprof(sigma, tau, scratch),
              TwiceKprofFromCounts(counts), stats);
     ExpectEq(c, "prepared-KHaus", KHausdorff(sigma, tau, scratch),
@@ -268,7 +284,7 @@ void CheckMetamorphic(const FuzzCase& c, CheckStats* stats) {
     if (!IsRefinementOf(TauRefine(tau, sigma), sigma)) {
       Fail(c, "tau-refine-refines", "TauRefine(tau, sigma) !< sigma", stats);
     }
-    const PairCounts counts = ComputePairCountsNaive(sigma, tau);
+    const PairCounts counts = ref::ClassifyPairs(sigma, tau);
     const std::int64_t lo = counts.discordant;
     const std::int64_t hi = counts.discordant + counts.tied_sigma_only +
                             counts.tied_tau_only + counts.tied_both;

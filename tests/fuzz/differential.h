@@ -15,8 +15,9 @@
 namespace rankties::fuzz {
 
 struct DriverOptions {
-  /// Enumeration oracles (ref::KHausdorff / ref::TwiceFHausdorff) only run
-  /// when |R(sigma)| * |R(tau)| stays within this budget.
+  /// Enumeration oracles (ref::KHausdorff / ref::TwiceFHausdorff /
+  /// ref::Kavg) only run when |R(sigma)| * |R(tau)| stays within this
+  /// budget.
   std::int64_t enumeration_budget = 400'000;
   /// Lane count of the "wide" batch-engine pass (the 1-lane pass always
   /// runs too).
@@ -30,12 +31,13 @@ struct CheckStats {
   std::vector<std::string> failures;   ///< each embeds seed + replay command
 };
 
-/// Differential pass: optimized Kprof/Fprof/K^(p)/KHaus/FHaus (plus the
-/// Theorem 5 construction) against the src/ref oracle; the zero-allocation
-/// prepared kernels (FHaus joint-run decomposition included) against the
-/// legacy BucketOrder paths; and the structured O(n log n) slot-assignment
-/// solver against the general Hungarian matcher on the typed footrule
-/// instance induced by (sigma, type(rho)).
+/// Differential pass: optimized Kprof/Fprof/K^(p)/KHaus/FHaus/Kavg and the
+/// kernel's five pair classes (plus the Theorem 5 construction) against the
+/// src/ref oracle; the zero-allocation prepared kernels (FHaus joint-run
+/// decomposition included) against the legacy BucketOrder paths; and the
+/// structured O(n log n) slot-assignment solver against the general
+/// Hungarian matcher on the typed footrule instance induced by
+/// (sigma, type(rho)).
 void CheckDifferential(const FuzzCase& c, const DriverOptions& options,
                        CheckStats* stats);
 

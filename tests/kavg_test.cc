@@ -2,6 +2,7 @@
 
 #include "core/profile_metrics.h"
 #include "gen/random_orders.h"
+#include "ref/ref_metrics.h"
 #include "util/rng.h"
 
 namespace rankties {
@@ -13,7 +14,7 @@ TEST(KavgTest, ClosedFormMatchesBruteForce) {
     for (int trial = 0; trial < 20; ++trial) {
       const BucketOrder sigma = RandomBucketOrder(n, rng);
       const BucketOrder tau = RandomBucketOrder(n, rng);
-      EXPECT_DOUBLE_EQ(Kavg(sigma, tau), KavgBrute(sigma, tau))
+      EXPECT_DOUBLE_EQ(Kavg(sigma, tau), ref::Kavg(sigma, tau))
           << sigma.ToString() << " vs " << tau.ToString();
     }
   }

@@ -7,6 +7,7 @@
 #include "gen/mallows.h"
 #include "gen/random_orders.h"
 #include "rank/refinement.h"
+#include "ref/ref_metrics.h"
 #include "util/rng.h"
 
 namespace rankties {
@@ -91,14 +92,12 @@ TEST(MedianRankTest, Theorem9FactorThreeVsExhaustiveTopK) {
 
     // Exhaustive optimum over all top-k lists: every permutation prefix.
     std::int64_t best = std::numeric_limits<std::int64_t>::max();
-    ForEachFullRefinement(BucketOrder::SingleBucket(n),
-                          [&](const Permutation& p) {
-                            best = std::min(
-                                best,
-                                TwiceTotalFprof(BucketOrder::TopKOf(p, k),
-                                                inputs));
-                            return true;
-                          });
+    ref::ForEachRefinementOrder(
+        BucketOrder::SingleBucket(n), [&](const std::vector<ElementId>& o) {
+          const Permutation p = Permutation::FromOrder(o).value();
+          best = std::min(
+              best, TwiceTotalFprof(BucketOrder::TopKOf(p, k), inputs));
+        });
     EXPECT_LE(our_cost, 3 * best)
         << "m=" << m << " k=" << k << " trial=" << trial;
   }
@@ -123,14 +122,13 @@ TEST(MedianRankTest, Theorem11FactorTwoForFullInputs) {
         TwiceTotalFprof(BucketOrder::FromPermutation(*ours), inputs);
 
     std::int64_t best_full = std::numeric_limits<std::int64_t>::max();
-    ForEachFullRefinement(BucketOrder::SingleBucket(n),
-                          [&](const Permutation& p) {
-                            best_full = std::min(
-                                best_full,
-                                TwiceTotalFprof(BucketOrder::FromPermutation(p),
-                                                inputs));
-                            return true;
-                          });
+    ref::ForEachRefinementOrder(
+        BucketOrder::SingleBucket(n), [&](const std::vector<ElementId>& o) {
+          const Permutation p = Permutation::FromOrder(o).value();
+          best_full = std::min(
+              best_full,
+              TwiceTotalFprof(BucketOrder::FromPermutation(p), inputs));
+        });
     EXPECT_LE(our_cost, 2 * best_full) << trial;
 
     // Against arbitrary partial rankings too (Theorem 11's tau is any

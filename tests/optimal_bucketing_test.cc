@@ -62,11 +62,11 @@ TEST_P(BucketingParityTest, VariantsMatchBruteForce) {
     const bool even_only = trial % 2 == 0;
     const std::vector<std::int64_t> scores =
         RandomQuadScores(n, rng, even_only);
-    auto brute = OptimalBucketingBrute(scores);
+    auto brute = ref::FDaggerCostBrute(scores);
     ASSERT_TRUE(brute.ok());
     auto result = OptimalBucketing(scores);
     ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result->cost_quad, brute->cost_quad)
+    EXPECT_EQ(result->cost_quad, *brute)
         << "n=" << n << " trial=" << trial;
     if (even_only) {
       EXPECT_EQ(result->cost_quad, ref::FDaggerCostFigure1(scores));
@@ -95,7 +95,7 @@ TEST(OptimalBucketingTest, MatchesFigure1BeyondBruteForce) {
       ASSERT_TRUE(result.ok());
       EXPECT_EQ(result->cost_quad, ref::FDaggerCostFigure1(scores))
           << "n=" << n << " trial=" << trial;
-      EXPECT_EQ(BucketingCostQuad(scores, result->order.Type()).value(),
+      EXPECT_EQ(ref::BucketingCostQuad(scores, result->order.Type()).value(),
                 result->cost_quad);
     }
   }
@@ -116,7 +116,7 @@ TEST(OptimalBucketingTest, OddScoresStayInLinearSpace) {
   g_count_allocations = false;
   ASSERT_TRUE(result.ok());
   EXPECT_LE(g_largest_allocation, 16 * (n + 1));
-  EXPECT_EQ(BucketingCostQuad(scores, result->order.Type()).value(),
+  EXPECT_EQ(ref::BucketingCostQuad(scores, result->order.Type()).value(),
             result->cost_quad);
 }
 
@@ -130,8 +130,8 @@ TEST(OptimalBucketingTest, ScoresThatCouldOverflowAreRejected) {
     auto result = OptimalBucketing(scores);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_FALSE(BucketingCostQuad(scores, {scores.size()}).ok());
-    EXPECT_FALSE(OptimalBucketingBrute(scores).ok());
+    EXPECT_FALSE(ref::BucketingCostQuad(scores, {scores.size()}).ok());
+    EXPECT_FALSE(ref::FDaggerCostBrute(scores).ok());
   }
   // n = 2: the limit is (INT64_MAX / 4) / 2 - 4 * 2 - 4.
   const std::int64_t limit = kMax / 4 / 2 - 12;
@@ -204,18 +204,18 @@ TEST(OptimalBucketingTest, Theorem10FactorTwoOverPartialRankings) {
 
 TEST(OptimalBucketingTest, EmptyInputRejected) {
   EXPECT_FALSE(OptimalBucketing({}).ok());
-  EXPECT_FALSE(OptimalBucketingBrute({}).ok());
+  EXPECT_FALSE(ref::FDaggerCostBrute({}).ok());
 }
 
 TEST(OptimalBucketingTest, BruteForceGuardsLargeN) {
   std::vector<std::int64_t> scores(25, 4);
-  EXPECT_FALSE(OptimalBucketingBrute(scores).ok());
+  EXPECT_FALSE(ref::FDaggerCostBrute(scores).ok());
 }
 
 TEST(OptimalBucketingTest, BucketingCostQuadValidates) {
-  EXPECT_FALSE(BucketingCostQuad({4, 8}, {1}).ok());
-  EXPECT_FALSE(BucketingCostQuad({4, 8}, {0, 2}).ok());
-  auto cost = BucketingCostQuad({4, 8}, {2});
+  EXPECT_FALSE(ref::BucketingCostQuad({4, 8}, {1}).ok());
+  EXPECT_FALSE(ref::BucketingCostQuad({4, 8}, {0, 2}).ok());
+  auto cost = ref::BucketingCostQuad({4, 8}, {2});
   ASSERT_TRUE(cost.ok());
   // Both in one bucket at pos 1.5 (quad 6): |4-6| + |8-6| = 4.
   EXPECT_EQ(*cost, 4);

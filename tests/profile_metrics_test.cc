@@ -5,7 +5,7 @@
 #include "core/footrule.h"
 #include "core/kendall.h"
 #include "gen/random_orders.h"
-#include "rank/refinement.h"
+#include "ref/ref_metrics.h"
 #include "util/rng.h"
 
 namespace rankties {
@@ -149,7 +149,7 @@ TEST(ProfileMetricsTest, KavgEqualsKprofForTopKLists) {
     const Permutation pb = pa.Reverse();  // tops cover everything
     const BucketOrder a = BucketOrder::TopKOf(pa, 2);
     const BucketOrder b = BucketOrder::TopKOf(pb, 2);
-    EXPECT_DOUBLE_EQ(KavgBrute(a, b), Kprof(a, b)) << trial;
+    EXPECT_DOUBLE_EQ(ref::Kavg(a, b), Kprof(a, b)) << trial;
   }
 }
 
@@ -158,7 +158,7 @@ TEST(ProfileMetricsTest, KavgExceedsKprofWhenTiedBothExists) {
   // reason Kavg is not a distance measure on general partial rankings (A.3).
   const BucketOrder tied = BucketOrder::SingleBucket(3);
   EXPECT_DOUBLE_EQ(Kprof(tied, tied), 0.0);
-  EXPECT_GT(KavgBrute(tied, tied), 0.0);
+  EXPECT_GT(ref::Kavg(tied, tied), 0.0);
 }
 
 }  // namespace

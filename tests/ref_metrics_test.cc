@@ -64,7 +64,7 @@ TEST(RefMetricsTest, EnumerationVisitsEveryRefinementOnce) {
   });
   EXPECT_EQ(visits, 3 * 2 * 1 * 2 * 1);  // 3! * 2!
   EXPECT_EQ(static_cast<std::int64_t>(seen.size()), visits);
-  EXPECT_EQ(visits, CountFullRefinements(sigma));
+  EXPECT_EQ(visits * visits, ref::RefinementPairCount(sigma, sigma));
 }
 
 TEST(RefMetricsTest, RefinementPairCountSaturates) {

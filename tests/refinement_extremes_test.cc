@@ -9,6 +9,7 @@
 #include "core/kendall.h"
 #include "gen/random_orders.h"
 #include "rank/refinement.h"
+#include "ref/ref_metrics.h"
 #include "util/rng.h"
 
 namespace rankties {
@@ -26,10 +27,10 @@ TEST(RefinementExtremesTest, Lemma3NearestRefinementIsOptimal) {
     EXPECT_TRUE(IsRefinementOf(BucketOrder::FromPermutation(nearest), tau));
     std::int64_t best_f = std::numeric_limits<std::int64_t>::max();
     std::int64_t best_k = std::numeric_limits<std::int64_t>::max();
-    ForEachFullRefinement(tau, [&](const Permutation& t) {
+    ref::ForEachRefinementOrder(tau, [&](const std::vector<ElementId>& ord) {
+      const Permutation t = Permutation::FromOrder(ord).value();
       best_f = std::min(best_f, Footrule(sigma, t));
-      best_k = std::min(best_k, KendallTauNaive(sigma, t));
-      return true;
+      best_k = std::min(best_k, ref::KendallTau(sigma, t));
     });
     EXPECT_EQ(Footrule(sigma, nearest), best_f);
     EXPECT_EQ(KendallTau(sigma, nearest), best_k);
@@ -47,17 +48,17 @@ TEST(RefinementExtremesTest, OneSidedWitnessMatchesBruteForce) {
     const BucketOrder sigma = RandomBucketOrder(n, rng);
     const BucketOrder tau = RandomBucketOrder(n, rng);
     std::int64_t brute_f = 0, brute_k = 0;
-    ForEachFullRefinement(sigma, [&](const Permutation& s) {
+    ref::ForEachRefinementOrder(sigma, [&](const std::vector<ElementId>& so) {
+      const Permutation s = Permutation::FromOrder(so).value();
       std::int64_t best_f = std::numeric_limits<std::int64_t>::max();
       std::int64_t best_k = std::numeric_limits<std::int64_t>::max();
-      ForEachFullRefinement(tau, [&](const Permutation& t) {
+      ref::ForEachRefinementOrder(tau, [&](const std::vector<ElementId>& to) {
+        const Permutation t = Permutation::FromOrder(to).value();
         best_f = std::min(best_f, Footrule(s, t));
-        best_k = std::min(best_k, KendallTauNaive(s, t));
-        return true;
+        best_k = std::min(best_k, ref::KendallTau(s, t));
       });
       brute_f = std::max(brute_f, best_f);
       brute_k = std::max(brute_k, best_k);
-      return true;
     });
     EXPECT_EQ(OneSidedFHausdorff(sigma, tau), brute_f);
     EXPECT_EQ(OneSidedKHausdorff(sigma, tau), brute_k);

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
-
 #include "gen/random_orders.h"
 #include "util/rng.h"
 
@@ -95,39 +93,6 @@ TEST(RefinementTest, TauRefineWithFullTauIsFull) {
       TauRefine(BucketOrder::FromPermutation(tau), sigma);
   EXPECT_TRUE(generic.IsFull());
   EXPECT_EQ(BucketOrder::FromPermutation(refined), generic);
-}
-
-TEST(RefinementTest, EnumerationCountsMatchFactorialProduct) {
-  const BucketOrder order =
-      Must(BucketOrder::FromBuckets(6, {{0, 1, 2}, {3}, {4, 5}}));
-  EXPECT_EQ(CountFullRefinements(order), 3 * 2 * 1 * 1 * 2);
-  std::set<std::string> seen;
-  std::int64_t count = 0;
-  ForEachFullRefinement(order, [&](const Permutation& p) {
-    seen.insert(p.ToString());
-    ++count;
-    // Each enumerated permutation is a genuine refinement.
-    EXPECT_TRUE(IsRefinementOf(BucketOrder::FromPermutation(p), order));
-    return true;
-  });
-  EXPECT_EQ(count, 12);
-  EXPECT_EQ(seen.size(), 12u);  // all distinct
-}
-
-TEST(RefinementTest, EnumerationEarlyStop) {
-  const BucketOrder order = BucketOrder::SingleBucket(4);
-  int visits = 0;
-  ForEachFullRefinement(order, [&](const Permutation&) {
-    ++visits;
-    return visits < 5;
-  });
-  EXPECT_EQ(visits, 5);
-}
-
-TEST(RefinementTest, CountSaturatesInsteadOfOverflowing) {
-  const BucketOrder order = BucketOrder::SingleBucket(64);
-  EXPECT_EQ(CountFullRefinements(order),
-            std::numeric_limits<std::int64_t>::max());
 }
 
 TEST(RefinementTest, RandomFullRefinementIsRefinement) {

@@ -90,6 +90,19 @@ Rules (rationale in docs/STATIC_ANALYSIS.md):
                                deterministic aborts. A raw std primitive
                                would dodge both.
 
+  RT010 oracle-outside-ref     An `#include "ref/...` or a call or
+                               declaration of an identifier ending in
+                               `Naive` or `Brute`, in src/ outside src/ref/
+                               and the umbrella src/rankties.h. The oracle
+                               tier lives in src/ref alone: a production
+                               path that reached into it, or a second
+                               oracle beside the code it checks, would let
+                               one bug cancel itself out in the
+                               differential tests. Linking cannot enforce
+                               this, because every binary links the
+                               umbrella target, which includes
+                               rankties_ref.
+
 A finding on a line carrying `rankties-lint: allow(RTxxx)` is suppressed.
 
 Usage:
@@ -138,6 +151,9 @@ RAW_SYNC = re.compile(
     r"lock_guard|unique_lock|scoped_lock|shared_lock)\b|"
     r"#\s*include\s*<(?:mutex|shared_mutex|condition_variable)>"
 )
+REF_INCLUDE = re.compile(r'#\s*include\s*"ref/')
+INCLUDE_DIRECTIVE = re.compile(r"\s*#\s*include\b")
+ORACLE_NAME = re.compile(r"\b\w*(?:Naive|Brute)\s*\(")
 METRIC_CALL = re.compile(
     r"RANKTIES_OBS_COUNT\s*\(|RANKTIES_OBS_RECORD\s*\(|"
     r"\b(?:obs::)?(?:GetCounter|GetHistogram)\s*\(|"
@@ -234,6 +250,8 @@ def lint_file(path: pathlib.Path, rel: pathlib.PurePosixPath,
     in_store_home = (rel.as_posix().startswith("src/store/")
                      or rel.as_posix() == "src/obs/export.cc")
     is_mutex_home = rel.as_posix() == "src/util/mutex.h"
+    in_oracle_home = (rel.as_posix().startswith("src/ref/")
+                      or rel.as_posix() == "src/rankties.h")
     in_block_comment = False
 
     for lineno, raw in enumerate(lines, start=1):
@@ -301,6 +319,16 @@ def lint_file(path: pathlib.Path, rel: pathlib.PurePosixPath,
                                     " / MutexLock / CondVar so the clang "
                                     "thread-safety wall and the debug "
                                     "lock-order DAG apply"))
+        # The include path sits inside a string literal, which `line` has
+        # blanked, so it is matched on the raw line; the directive must
+        # survive in `line` so a commented-out include is ignored.
+        if (in_src or fixture_mode) and not in_oracle_home and (
+                ORACLE_NAME.search(line) or
+                (REF_INCLUDE.search(raw) and INCLUDE_DIRECTIVE.match(line))):
+            findings.append(Finding(path, lineno, "RT010",
+                                    "oracle outside src/ref/; the oracle "
+                                    "tier lives only there, and production "
+                                    "code must not include it"))
 
     if path.suffix == ".h":
         findings.extend(check_include_guard(path, rel, text))
