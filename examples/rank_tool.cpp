@@ -107,17 +107,21 @@ int CmdDist(const std::string& path) {
 int CmdAgg(const std::string& path, int k) {
   auto orders = LoadOrders(path);
   if (!orders.ok()) return Fail(orders.status().ToString());
-  auto full = MedianAggregateFull(*orders, MedianPolicy::kLower);
-  if (!full.ok()) return Fail(full.status().ToString());
-  std::printf("median full ranking: %s\n", full->ToString().c_str());
+  // One median pass: the full ranking (Theorem 11), the top-k list
+  // (Theorem 9) and f-dagger (Theorem 10) all come from these scores.
+  auto scores = MedianRankScoresQuad(*orders, MedianPolicy::kLower);
+  if (!scores.ok()) return Fail(scores.status().ToString());
+  const Permutation full =
+      BucketOrder::FromIntKeys(*scores).CanonicalRefinement();
+  std::printf("median full ranking: %s\n", full.ToString().c_str());
   if (k > 0) {
-    auto topk = MedianAggregateTopK(*orders, static_cast<std::size_t>(k),
-                                    MedianPolicy::kLower);
-    if (!topk.ok()) return Fail(topk.status().ToString());
-    std::printf("median top-%d      : %s\n", k, topk->ToString().c_str());
-  }
-  if (k > 0) {
-    auto medrank = MedrankTopK(*orders, static_cast<std::size_t>(k));
+    const auto top = static_cast<std::size_t>(k);
+    if (top > full.n()) {
+      return Fail(Status::InvalidArgument("k exceeds domain size").ToString());
+    }
+    const BucketOrder topk = BucketOrder::TopKOf(full, top);
+    std::printf("median top-%d      : %s\n", k, topk.ToString().c_str());
+    auto medrank = MedrankTopK(*orders, top);
     if (!medrank.ok()) return Fail(medrank.status().ToString());
     std::string winners;
     for (ElementId w : medrank->winners) {
@@ -129,13 +133,12 @@ int CmdAgg(const std::string& path, int k) {
                 static_cast<long long>(medrank->total_accesses),
                 static_cast<long long>(medrank->depth));
   }
-  auto scores = MedianRankScoresQuad(*orders, MedianPolicy::kLower);
   auto fdagger = OptimalBucketing(*scores);
   if (!fdagger.ok()) return Fail(fdagger.status().ToString());
   std::printf("f-dagger           : %s\n", fdagger->order.ToString().c_str());
   std::printf("sum Fprof: full=%.1f f-dagger=%.1f best-input=%.1f\n",
               TotalDistance(MetricKind::kFprof,
-                            BucketOrder::FromPermutation(*full), *orders),
+                            BucketOrder::FromPermutation(full), *orders),
               TotalDistance(MetricKind::kFprof, fdagger->order, *orders),
               BestInputAggregate(*orders, MetricKind::kFprof)->total_cost);
   return 0;

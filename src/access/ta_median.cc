@@ -11,15 +11,9 @@ namespace rankties {
 
 StatusOr<TaMedianResult> TaMedianTopK(const std::vector<BucketOrder>& inputs,
                                       std::size_t k) {
-  if (inputs.empty()) return Status::InvalidArgument("no input rankings");
+  if (Status s = ValidateProfile(inputs); !s.ok()) return s;
   const std::size_t m = inputs.size();
   const std::size_t n = inputs.front().n();
-  if (n == 0) return Status::InvalidArgument("empty domain");
-  for (const BucketOrder& input : inputs) {
-    if (input.n() != n) {
-      return Status::InvalidArgument("input domain sizes differ");
-    }
-  }
   if (k > n) return Status::InvalidArgument("k exceeds domain size");
 
   TaMedianResult result;

@@ -131,15 +131,6 @@ std::vector<double> DistancesToAll(MetricKind kind,
   return distances;
 }
 
-double TotalDistanceParallel(MetricKind kind, const BucketOrder& candidate,
-                             const std::vector<BucketOrder>& lists) {
-  const std::vector<double> distances =
-      DistancesToAll(kind, candidate, lists);
-  double total = 0.0;
-  for (const double d : distances) total += d;  // serial, index order
-  return total;
-}
-
 StatusOr<BestCandidateResult> BestOfCandidates(
     MetricKind kind, const std::vector<BucketOrder>& candidates,
     const std::vector<BucketOrder>& lists) {

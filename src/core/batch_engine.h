@@ -52,11 +52,6 @@ std::vector<double> DistancesToAll(MetricKind kind,
                                    const BucketOrder& candidate,
                                    const std::vector<BucketOrder>& lists);
 
-/// Sum of DistancesToAll(kind, candidate, lists) accumulated serially in
-/// index order — bit-identical to the serial TotalDistance loop.
-double TotalDistanceParallel(MetricKind kind, const BucketOrder& candidate,
-                             const std::vector<BucketOrder>& lists);
-
 struct BestCandidateResult {
   std::size_t index = 0;        ///< argmin candidate (lowest index on ties)
   double total_cost = 0.0;      ///< its summed distance to all lists

@@ -1,52 +1,25 @@
 #include "core/borda.h"
 
-#include <algorithm>
-#include <numeric>
-
 namespace rankties {
 
-namespace {
-
-StatusOr<std::vector<std::int64_t>> SumTwicePositions(
+StatusOr<Permutation> BordaAggregateFull(
     const std::vector<BucketOrder>& inputs) {
-  if (inputs.empty()) return Status::InvalidArgument("no input rankings");
+  StatusOr<BucketOrder> induced = BordaInducedOrder(inputs);
+  if (!induced.ok()) return induced.status();
+  return induced->CanonicalRefinement();
+}
+
+StatusOr<BucketOrder> BordaInducedOrder(
+    const std::vector<BucketOrder>& inputs) {
+  if (Status s = ValidateProfile(inputs); !s.ok()) return s;
   const std::size_t n = inputs.front().n();
-  if (n == 0) return Status::InvalidArgument("empty domain");
-  for (const BucketOrder& input : inputs) {
-    if (input.n() != n) {
-      return Status::InvalidArgument("input domain sizes differ");
-    }
-  }
-  std::vector<std::int64_t> sums(n, 0);
+  std::vector<std::int64_t> sums(n, 0);  // sum of doubled positions
   for (const BucketOrder& input : inputs) {
     for (std::size_t e = 0; e < n; ++e) {
       sums[e] += input.TwicePosition(static_cast<ElementId>(e));
     }
   }
-  return sums;
-}
-
-}  // namespace
-
-StatusOr<Permutation> BordaAggregateFull(
-    const std::vector<BucketOrder>& inputs) {
-  StatusOr<std::vector<std::int64_t>> sums = SumTwicePositions(inputs);
-  if (!sums.ok()) return sums.status();
-  const std::size_t n = sums->size();
-  std::vector<ElementId> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](ElementId a, ElementId b) {
-    return (*sums)[static_cast<std::size_t>(a)] <
-           (*sums)[static_cast<std::size_t>(b)];
-  });
-  return Permutation::FromOrder(order);
-}
-
-StatusOr<BucketOrder> BordaInducedOrder(
-    const std::vector<BucketOrder>& inputs) {
-  StatusOr<std::vector<std::int64_t>> sums = SumTwicePositions(inputs);
-  if (!sums.ok()) return sums.status();
-  return BucketOrder::FromIntKeys(*sums);
+  return BucketOrder::FromIntKeys(sums);
 }
 
 }  // namespace rankties

@@ -47,13 +47,9 @@ StatusOr<ConsolidationResult> ConsolidateToType(
   if (n == 0) return Status::InvalidArgument("no scores");
   Status s = ValidateType(alpha, n);
   if (!s.ok()) return s;
-  std::vector<ElementId> elems(n);
-  std::iota(elems.begin(), elems.end(), 0);
-  std::stable_sort(elems.begin(), elems.end(), [&](ElementId a, ElementId b) {
-    return quad_scores[static_cast<std::size_t>(a)] <
-           quad_scores[static_cast<std::size_t>(b)];
-  });
-  ConsolidationResult result{BlocksOf(elems, alpha), 0};
+  // Score order, ties by ascending id.
+  const BucketOrder by_score = BucketOrder::FromIntKeys(quad_scores);
+  ConsolidationResult result{BlocksOf(by_score.by_bucket(), alpha), 0};
   for (ElementId e = 0; e < static_cast<ElementId>(n); ++e) {
     result.cost_quad +=
         std::abs(quad_scores[static_cast<std::size_t>(e)] -

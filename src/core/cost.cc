@@ -19,9 +19,10 @@ std::int64_t TwiceTotalFprof(const BucketOrder& candidate,
 
 double TotalDistance(MetricKind kind, const BucketOrder& candidate,
                      const std::vector<BucketOrder>& inputs) {
-  // Parallel over the inputs; the sum runs serially in index order, so the
-  // result is bit-identical to the old serial accumulation.
-  return TotalDistanceParallel(kind, candidate, inputs);
+  const std::vector<double> distances = DistancesToAll(kind, candidate, inputs);
+  double total = 0.0;
+  for (const double d : distances) total += d;
+  return total;
 }
 
 double TotalKendallP(const BucketOrder& candidate,

@@ -15,7 +15,9 @@ namespace rankties {
 std::int64_t TwiceTotalFprof(const BucketOrder& candidate,
                              const std::vector<BucketOrder>& inputs);
 
-/// Sum over inputs of an arbitrary metric.
+/// Sum over inputs of an arbitrary metric: DistancesToAll (parallel over the
+/// inputs) summed serially in index order, so the result is bit-identical
+/// at every lane count.
 double TotalDistance(MetricKind kind, const BucketOrder& candidate,
                      const std::vector<BucketOrder>& inputs);
 

@@ -132,14 +132,8 @@ StatusOr<AssignmentResult> SingleInputAssignment(
 StatusOr<FootruleOptimalTypedResult> FootruleOptimalOfType(
     const std::vector<BucketOrder>& inputs,
     const std::vector<std::size_t>& alpha) {
-  if (inputs.empty()) return Status::InvalidArgument("no input rankings");
+  if (Status s = ValidateProfile(inputs); !s.ok()) return s;
   const std::size_t n = inputs.front().n();
-  if (n == 0) return Status::InvalidArgument("empty domain");
-  for (const BucketOrder& input : inputs) {
-    if (input.n() != n) {
-      return Status::InvalidArgument("input domain sizes differ");
-    }
-  }
   std::size_t total = 0;
   for (std::size_t s : alpha) {
     if (s == 0) return Status::InvalidArgument("zero bucket size in type");
@@ -201,7 +195,7 @@ StatusOr<FootruleOptimalTypedResult> FootruleOptimalOfType(
 
 StatusOr<FootruleOptimalTypedResult> FootruleOptimalTopK(
     const std::vector<BucketOrder>& inputs, std::size_t k) {
-  if (inputs.empty()) return Status::InvalidArgument("no input rankings");
+  if (Status s = ValidateProfile(inputs); !s.ok()) return s;
   const std::size_t n = inputs.front().n();
   if (k > n) return Status::InvalidArgument("k exceeds domain size");
   std::vector<std::size_t> alpha;
@@ -216,9 +210,8 @@ StatusOr<FootruleOptimalTypedResult> FootruleOptimalTopK(
 
 StatusOr<FootruleOptimalTypedResult> FprofOptimalPartial(
     const std::vector<BucketOrder>& inputs) {
-  if (inputs.empty()) return Status::InvalidArgument("no input rankings");
+  if (Status s = ValidateProfile(inputs); !s.ok()) return s;
   const std::size_t n = inputs.front().n();
-  if (n == 0) return Status::InvalidArgument("empty domain");
   if (n > 16) {
     return Status::InvalidArgument(
         "type enumeration limited to n <= 16 (2^(n-1) assignment solves)");
@@ -245,14 +238,8 @@ StatusOr<FootruleOptimalTypedResult> FprofOptimalPartial(
 
 StatusOr<FootruleOptimalResult> FootruleOptimalFull(
     const std::vector<BucketOrder>& inputs) {
-  if (inputs.empty()) return Status::InvalidArgument("no input rankings");
+  if (Status s = ValidateProfile(inputs); !s.ok()) return s;
   const std::size_t n = inputs.front().n();
-  if (n == 0) return Status::InvalidArgument("empty domain");
-  for (const BucketOrder& input : inputs) {
-    if (input.n() != n) {
-      return Status::InvalidArgument("input domain sizes differ");
-    }
-  }
   // Slot r (0-based) is rank r+1 with doubled position 2(r+1) — strictly
   // increasing, so single-input instances are structured.
   StatusOr<AssignmentResult> assignment =

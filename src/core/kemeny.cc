@@ -51,9 +51,8 @@ std::vector<std::vector<std::int64_t>> PairwisePreferenceCostsTwice(
 
 StatusOr<KemenyPartialResult> ExactKemenyPartial(
     const std::vector<BucketOrder>& inputs, double p) {
-  if (inputs.empty()) return Status::InvalidArgument("no input rankings");
+  if (Status s = ValidateProfile(inputs); !s.ok()) return s;
   const std::size_t n = inputs.front().n();
-  if (n == 0) return Status::InvalidArgument("empty domain");
   if (n > 13) {
     return Status::InvalidArgument(
         "exact partial Kemeny limited to n <= 13 (3^n subset pairs)");
@@ -61,11 +60,6 @@ StatusOr<KemenyPartialResult> ExactKemenyPartial(
   if (std::abs(2.0 * p - std::llround(2.0 * p)) > 1e-12) {
     return Status::InvalidArgument(
         "exact Kemeny requires p to be a multiple of 1/2");
-  }
-  for (const BucketOrder& input : inputs) {
-    if (input.n() != n) {
-      return Status::InvalidArgument("input domain sizes differ");
-    }
   }
   const std::int64_t two_p = std::llround(2.0 * p);
   // w2[a][b]: doubled cost of ranking a strictly ahead of b.
@@ -165,20 +159,14 @@ StatusOr<KemenyPartialResult> ExactKemenyPartial(
 
 StatusOr<KemenyResult> ExactKemeny(const std::vector<BucketOrder>& inputs,
                                    double p) {
-  if (inputs.empty()) return Status::InvalidArgument("no input rankings");
+  if (Status s = ValidateProfile(inputs); !s.ok()) return s;
   const std::size_t n = inputs.front().n();
-  if (n == 0) return Status::InvalidArgument("empty domain");
   if (n > 18) {
     return Status::InvalidArgument("exact Kemeny limited to n <= 18");
   }
   if (std::abs(2.0 * p - std::llround(2.0 * p)) > 1e-12) {
     return Status::InvalidArgument(
         "exact Kemeny requires p to be a multiple of 1/2 for integral costs");
-  }
-  for (const BucketOrder& input : inputs) {
-    if (input.n() != n) {
-      return Status::InvalidArgument("input domain sizes differ");
-    }
   }
   const std::vector<std::vector<std::int64_t>> w =
       PairwisePreferenceCostsTwice(inputs, p);

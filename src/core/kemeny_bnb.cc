@@ -110,16 +110,10 @@ struct BnbState {
 StatusOr<KemenyBnbResult> KemenyBranchAndBound(
     const std::vector<BucketOrder>& inputs, double p,
     std::int64_t node_budget) {
-  if (inputs.empty()) return Status::InvalidArgument("no input rankings");
+  if (Status s = ValidateProfile(inputs); !s.ok()) return s;
   const std::size_t n = inputs.front().n();
-  if (n == 0) return Status::InvalidArgument("empty domain");
   if (std::abs(2.0 * p - std::llround(2.0 * p)) > 1e-12) {
     return Status::InvalidArgument("p must be a multiple of 1/2");
-  }
-  for (const BucketOrder& input : inputs) {
-    if (input.n() != n) {
-      return Status::InvalidArgument("input domain sizes differ");
-    }
   }
   const std::vector<std::vector<std::int64_t>> w2 =
       PairwisePreferenceCostsTwice(inputs, p);

@@ -8,14 +8,8 @@ namespace rankties {
 
 StatusOr<Permutation> Mc4Aggregate(const std::vector<BucketOrder>& inputs,
                                    const Mc4Options& options) {
-  if (inputs.empty()) return Status::InvalidArgument("no input rankings");
+  if (Status s = ValidateProfile(inputs); !s.ok()) return s;
   const std::size_t n = inputs.front().n();
-  if (n == 0) return Status::InvalidArgument("empty domain");
-  for (const BucketOrder& input : inputs) {
-    if (input.n() != n) {
-      return Status::InvalidArgument("input domain sizes differ");
-    }
-  }
 
   // majority[a][b] = true if a strict majority of inputs rank b strictly
   // ahead of a (so the chain moves a -> b).

@@ -2,53 +2,27 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <numeric>
 
 #include "util/contracts.h"
 #include "util/thread_pool.h"
 
 namespace rankties {
 
-std::int64_t MedianQuad(std::vector<std::int64_t> values, MedianPolicy policy) {
+std::int64_t MedianQuad(std::span<std::int64_t> values, MedianPolicy policy) {
   RANKTIES_DCHECK(!values.empty());
-  std::sort(values.begin(), values.end());
   const std::size_t m = values.size();
-  if (m % 2 == 1) return 2 * values[m / 2];
-  const std::int64_t lo = values[m / 2 - 1];
-  const std::int64_t hi = values[m / 2];
-  switch (policy) {
-    case MedianPolicy::kLower:
-      return 2 * lo;
-    case MedianPolicy::kUpper:
-      return 2 * hi;
-    case MedianPolicy::kAverage:
-      return lo + hi;
-  }
-  return 2 * lo;
+  const auto mid = values.begin() + static_cast<std::ptrdiff_t>(m / 2);
+  std::nth_element(values.begin(), mid, values.end());
+  const std::int64_t hi = *mid;  // a_{m/2+1}, 1-based
+  if (m % 2 == 1 || policy == MedianPolicy::kUpper) return 2 * hi;
+  // The m/2 values before `mid` are the smallest; a_{m/2} is their maximum.
+  const std::int64_t lo = *std::max_element(values.begin(), mid);
+  return policy == MedianPolicy::kLower ? 2 * lo : lo + hi;
 }
-
-namespace {
-
-Status ValidateInputs(const std::vector<BucketOrder>& inputs) {
-  if (inputs.empty()) {
-    return Status::InvalidArgument("no input rankings");
-  }
-  const std::size_t n = inputs.front().n();
-  if (n == 0) return Status::InvalidArgument("empty domain");
-  for (const BucketOrder& input : inputs) {
-    if (input.n() != n) {
-      return Status::InvalidArgument("input domain sizes differ");
-    }
-  }
-  return Status::Ok();
-}
-
-}  // namespace
 
 StatusOr<std::vector<std::int64_t>> MedianRankScoresQuad(
     const std::vector<BucketOrder>& inputs, MedianPolicy policy) {
-  Status s = ValidateInputs(inputs);
-  if (!s.ok()) return s;
+  if (Status s = ValidateProfile(inputs); !s.ok()) return s;
   const std::size_t n = inputs.front().n();
   const std::size_t m = inputs.size();
   std::vector<std::int64_t> scores(n);
@@ -78,17 +52,9 @@ StatusOr<BucketOrder> MedianInducedOrder(const std::vector<BucketOrder>& inputs,
 
 StatusOr<Permutation> MedianAggregateFull(
     const std::vector<BucketOrder>& inputs, MedianPolicy policy) {
-  StatusOr<std::vector<std::int64_t>> scores =
-      MedianRankScoresQuad(inputs, policy);
-  if (!scores.ok()) return scores.status();
-  const std::size_t n = scores->size();
-  std::vector<ElementId> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](ElementId a, ElementId b) {
-    return (*scores)[static_cast<std::size_t>(a)] <
-           (*scores)[static_cast<std::size_t>(b)];
-  });
-  return Permutation::FromOrder(order);
+  StatusOr<BucketOrder> induced = MedianInducedOrder(inputs, policy);
+  if (!induced.ok()) return induced.status();
+  return induced->CanonicalRefinement();
 }
 
 StatusOr<BucketOrder> MedianAggregateTopK(

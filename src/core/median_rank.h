@@ -2,6 +2,7 @@
 #define RANKTIES_CORE_MEDIAN_RANK_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "rank/bucket_order.h"
@@ -22,8 +23,9 @@ enum class MedianPolicy {
 
 /// Exact median of `values` under `policy`, in quadrupled units: the inputs
 /// are doubled positions (integers), the result is 4x the median position so
-/// that the kAverage case stays integral. `values` is consumed (sorted).
-std::int64_t MedianQuad(std::vector<std::int64_t> values, MedianPolicy policy);
+/// that the kAverage case stays integral. Selects in place on the caller's
+/// column (no copy, no full sort), leaving `values` permuted.
+std::int64_t MedianQuad(std::span<std::int64_t> values, MedianPolicy policy);
 
 /// The median rank scores f(e) for every element, in quadrupled-position
 /// units (paper §6: f in median(sigma_1..sigma_m), per-element medians).

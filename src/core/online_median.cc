@@ -1,7 +1,6 @@
 #include "core/online_median.h"
 
-#include <algorithm>
-#include <numeric>
+#include <iterator>
 #include <utility>
 
 #include "obs/obs.h"
@@ -155,13 +154,7 @@ StatusOr<std::vector<std::int64_t>> OnlineMedianAggregator::ScoresQuad()
 StatusOr<Permutation> OnlineMedianAggregator::CurrentFull() const {
   StatusOr<std::vector<std::int64_t>> scores = ScoresQuad();
   if (!scores.ok()) return scores.status();
-  std::vector<ElementId> order(n());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](ElementId a, ElementId b) {
-    return (*scores)[static_cast<std::size_t>(a)] <
-           (*scores)[static_cast<std::size_t>(b)];
-  });
-  return Permutation::FromOrder(order);
+  return BucketOrder::FromIntKeys(*scores).CanonicalRefinement();
 }
 
 StatusOr<BucketOrder> OnlineMedianAggregator::CurrentTopK(

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 #include <string>
 
 #include "util/contracts.h"
@@ -13,22 +12,17 @@ namespace {
 
 constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
 
-// Sorted view of the scores: ids[r] = element at sorted position r (0-based),
-// f[r+1] = its quad score (f is 1-based to match the paper's indexing).
+// Sorted view of the scores: ids[r] = element at sorted position r (0-based,
+// ties by ascending id), f[r+1] = its quad score (f is 1-based to match the
+// paper's indexing).
 struct SortedScores {
   std::vector<ElementId> ids;
   std::vector<std::int64_t> f;  // f[1..n], ascending
 };
 
 SortedScores SortScores(const std::vector<std::int64_t>& quad_scores) {
-  SortedScores s;
+  SortedScores s{BucketOrder::FromIntKeys(quad_scores).by_bucket(), {}};
   const std::size_t n = quad_scores.size();
-  s.ids.resize(n);
-  std::iota(s.ids.begin(), s.ids.end(), 0);
-  std::stable_sort(s.ids.begin(), s.ids.end(), [&](ElementId a, ElementId b) {
-    return quad_scores[static_cast<std::size_t>(a)] <
-           quad_scores[static_cast<std::size_t>(b)];
-  });
   s.f.resize(n + 1);
   for (std::size_t r = 0; r < n; ++r) {
     s.f[r + 1] = quad_scores[static_cast<std::size_t>(s.ids[r])];

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <span>
 #include <utility>
 
 #include "core/batch_engine.h"
@@ -50,15 +51,13 @@ StatusOr<std::vector<std::int64_t>> StreamingMedianRankScoresQuad(
       }
     }
     // The median of a multiset is accumulation-order-independent
-    // (MedianQuad sorts), so chunk-at-a-time filling is bit-identical to
-    // the in-RAM list-order loop.
+    // (MedianQuad selects in place on the element's row, which the next
+    // pass overwrites), so chunk-at-a-time filling is bit-identical to the
+    // in-RAM list-order loop.
     ParallelFor(e0, e1, 256, [&](std::size_t lo, std::size_t hi) {
-      std::vector<std::int64_t> column(m);
       for (std::size_t e = lo; e < hi; ++e) {
-        std::copy(ranks.begin() + static_cast<std::ptrdiff_t>((e - e0) * m),
-                  ranks.begin() + static_cast<std::ptrdiff_t>((e - e0 + 1) * m),
-                  column.begin());
-        scores[e] = MedianQuad(column, policy);
+        scores[e] =
+            MedianQuad(std::span(ranks).subspan((e - e0) * m, m), policy);
       }
     });
   }

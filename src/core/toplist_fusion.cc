@@ -1,7 +1,6 @@
 #include "core/toplist_fusion.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "rank/active_domain.h"
 
@@ -17,12 +16,8 @@ StatusOr<TopListFusionResult> FuseTopLists(
   if (!scores.ok()) return scores.status();
 
   const std::size_t n = aligned->items.size();
-  std::vector<ElementId> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](ElementId a, ElementId b) {
-    return (*scores)[static_cast<std::size_t>(a)] <
-           (*scores)[static_cast<std::size_t>(b)];
-  });
+  const BucketOrder induced = BucketOrder::FromIntKeys(*scores);
+  const std::vector<ElementId>& order = induced.by_bucket();
 
   TopListFusionResult result;
   const std::size_t take = k == 0 ? n : std::min(k, n);

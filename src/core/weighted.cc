@@ -1,7 +1,6 @@
 #include "core/weighted.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "core/footrule.h"
 
@@ -11,19 +10,12 @@ namespace {
 
 Status Validate(const std::vector<BucketOrder>& inputs,
                 const std::vector<std::int64_t>& weights) {
-  if (inputs.empty()) return Status::InvalidArgument("no input rankings");
+  if (Status s = ValidateProfile(inputs); !s.ok()) return s;
   if (weights.size() != inputs.size()) {
     return Status::InvalidArgument("one weight per input required");
   }
   for (std::int64_t w : weights) {
     if (w <= 0) return Status::InvalidArgument("weights must be positive");
-  }
-  const std::size_t n = inputs.front().n();
-  if (n == 0) return Status::InvalidArgument("empty domain");
-  for (const BucketOrder& input : inputs) {
-    if (input.n() != n) {
-      return Status::InvalidArgument("input domain sizes differ");
-    }
   }
   return Status::Ok();
 }
@@ -68,14 +60,7 @@ StatusOr<Permutation> WeightedMedianAggregateFull(
   StatusOr<std::vector<std::int64_t>> scores =
       WeightedMedianScoresQuad(inputs, weights);
   if (!scores.ok()) return scores.status();
-  const std::size_t n = scores->size();
-  std::vector<ElementId> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](ElementId a, ElementId b) {
-    return (*scores)[static_cast<std::size_t>(a)] <
-           (*scores)[static_cast<std::size_t>(b)];
-  });
-  return Permutation::FromOrder(order);
+  return BucketOrder::FromIntKeys(*scores).CanonicalRefinement();
 }
 
 StatusOr<BucketOrder> WeightedMedianAggregateTopK(

@@ -97,8 +97,7 @@ StatusOr<PreferenceQuery::Explanation> PreferenceQuery::Explain(
     explanation.positions.push_back(ranking.Position(row));
   }
   explanation.median_position =
-      static_cast<double>(MedianQuad(std::move(twice), MedianPolicy::kLower)) /
-      4.0;
+      static_cast<double>(MedianQuad(twice, MedianPolicy::kLower)) / 4.0;
   return explanation;
 }
 

@@ -7,8 +7,8 @@
 namespace rankties {
 
 std::vector<std::size_t> RandomType(std::size_t n, Rng& rng) {
-  RANKTIES_DCHECK(n > 0);
   std::vector<std::size_t> type;
+  if (n == 0) return type;
   std::size_t run = 1;
   for (std::size_t gap = 1; gap < n; ++gap) {
     if (rng.Bernoulli(0.5)) {

@@ -13,11 +13,11 @@ namespace rankties {
 /// A uniformly random composition of n (ordered positive parts): the random
 /// *type* of a bucket order (paper A.1). Each of the n-1 gaps is a boundary
 /// independently with probability 1/2, so all 2^(n-1) compositions are
-/// equally likely.
+/// equally likely. n = 0 gives the empty type.
 std::vector<std::size_t> RandomType(std::size_t n, Rng& rng);
 
 /// A random bucket order: random type + uniformly random assignment of
-/// elements to the slots.
+/// elements to the slots. n = 0 gives the empty order.
 BucketOrder RandomBucketOrder(std::size_t n, Rng& rng);
 
 /// A random bucket order with exactly `t` buckets (uniform composition into

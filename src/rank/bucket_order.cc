@@ -473,4 +473,16 @@ Status BucketOrder::EraseItem(ElementId e) {
   return Status::Ok();
 }
 
+Status ValidateProfile(const std::vector<BucketOrder>& inputs) {
+  if (inputs.empty()) return Status::InvalidArgument("no input rankings");
+  const std::size_t n = inputs.front().n();
+  if (n == 0) return Status::InvalidArgument("empty domain");
+  for (const BucketOrder& input : inputs) {
+    if (input.n() != n) {
+      return Status::InvalidArgument("input domain sizes differ");
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace rankties

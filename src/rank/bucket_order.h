@@ -62,8 +62,10 @@ class BucketOrder {
   /// equal scores are tied. Scores must not be NaN (±inf sorts normally).
   static BucketOrder FromScores(const std::vector<double>& scores);
 
-  /// Like FromScores but on exact integer keys (used internally to avoid
-  /// floating point).
+  /// Like FromScores but on exact integer keys. by_bucket() lists the
+  /// elements by key, ties by ascending id, and CanonicalRefinement() is
+  /// that list as a full ranking: the ordering step of the median, Borda
+  /// and f-dagger aggregators.
   static BucketOrder FromIntKeys(const std::vector<std::int64_t>& keys);
 
   std::size_t n() const { return bucket_of_.size(); }
@@ -236,6 +238,12 @@ class BucketOrder {
   std::vector<std::int64_t> twice_pos_;        // element -> 2*pos
   std::int64_t tied_pairs_ = 0;
 };
+
+/// The profile check the aggregators run on their input rankings (paper §6:
+/// a profile is the list sigma_1..sigma_m being aggregated).
+/// Fails with InvalidArgument on an empty list, on n = 0, or unless every
+/// ranking has the first one's domain size, checked in that order.
+[[nodiscard]] Status ValidateProfile(const std::vector<BucketOrder>& inputs);
 
 }  // namespace rankties
 

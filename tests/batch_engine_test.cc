@@ -123,7 +123,6 @@ TEST_F(BatchEngineTest, DistancesToAllMatchesTotalDistance) {
     double total = 0.0;
     for (const double d : distances) total += d;
     EXPECT_EQ(total, TotalDistance(kind, candidate, lists));
-    EXPECT_EQ(total, TotalDistanceParallel(kind, candidate, lists));
   }
 }
 

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "core/batch_engine.h"
+#include "core/cost.h"
 #include "core/footrule.h"
 #include "core/footrule_matching.h"
 #include "core/hausdorff.h"
@@ -387,7 +388,7 @@ void CheckBatchEngine(const std::vector<BucketOrder>& lists,
                stats);
         }
       }
-      const double total = TotalDistanceParallel(kind, lists.front(), lists);
+      const double total = TotalDistance(kind, lists.front(), lists);
       ++stats->comparisons;
       if (total != expected_total) {
         Fail(label, "batch-total",

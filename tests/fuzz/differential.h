@@ -48,7 +48,7 @@ void CheckDifferential(const FuzzCase& c, const DriverOptions& options,
 void CheckMetamorphic(const FuzzCase& c, CheckStats* stats);
 
 /// Batch-engine pass: DistanceMatrix / DistancesToAll /
-/// TotalDistanceParallel at 1 and options.wide_threads lanes must be
+/// TotalDistance at 1 and options.wide_threads lanes must be
 /// bit-identical to the serial ComputeMetric loop. All lists must share one
 /// universe size; `seed` only labels failure messages.
 void CheckBatchEngine(const std::vector<BucketOrder>& lists,

@@ -34,6 +34,14 @@ TEST(RandomBucketOrderTest, ValidAndVaried) {
   EXPECT_FALSE(a == b);
 }
 
+TEST(RandomBucketOrderTest, EmptyDomain) {
+  Rng rng(4);
+  EXPECT_TRUE(RandomType(0, rng).empty());
+  const BucketOrder order = RandomBucketOrder(0, rng);
+  EXPECT_EQ(order.n(), 0u);
+  EXPECT_EQ(order.num_buckets(), 0u);
+}
+
 TEST(RandomBucketOrderWithBucketsTest, ExactBucketCount) {
   Rng rng(3);
   for (std::size_t t : {1u, 2u, 5u, 10u}) {

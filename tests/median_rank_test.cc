@@ -14,10 +14,18 @@ namespace rankties {
 namespace {
 
 TEST(MedianQuadTest, OddAndEvenPolicies) {
-  EXPECT_EQ(MedianQuad({5, 1, 3}, MedianPolicy::kLower), 6);  // 2 * 3
-  EXPECT_EQ(MedianQuad({4, 2}, MedianPolicy::kLower), 4);     // 2 * 2
-  EXPECT_EQ(MedianQuad({4, 2}, MedianPolicy::kUpper), 8);     // 2 * 4
-  EXPECT_EQ(MedianQuad({4, 2}, MedianPolicy::kAverage), 6);   // 2 + 4
+  // MedianQuad selects in place, so each call gets its own unsorted column.
+  std::vector<std::int64_t> odd = {5, 1, 3};
+  std::vector<std::int64_t> lower = {4, 2};
+  std::vector<std::int64_t> upper = {4, 2};
+  std::vector<std::int64_t> average = {4, 2};
+  EXPECT_EQ(MedianQuad(odd, MedianPolicy::kLower), 6);        // 2 * 3
+  EXPECT_EQ(MedianQuad(lower, MedianPolicy::kLower), 4);      // 2 * 2
+  EXPECT_EQ(MedianQuad(upper, MedianPolicy::kUpper), 8);      // 2 * 4
+  EXPECT_EQ(MedianQuad(average, MedianPolicy::kAverage), 6);  // 2 + 4
+  // A column that MedianQuad has already permuted keeps its median.
+  EXPECT_EQ(MedianQuad(odd, MedianPolicy::kLower), 6);
+  EXPECT_EQ(MedianQuad(lower, MedianPolicy::kUpper), 8);
 }
 
 TEST(MedianRankTest, ScoresValidateInputs) {
