@@ -7,19 +7,20 @@
 //       that median "vindicates" the heuristic of [8, 11].
 
 // `bench_aggregation --json` switches to the batch-engine comparison mode:
-// it times the parallel aggregation hot paths (BestOfCandidates over the
-// input x input grid, the per-element median scores, batch top-k overlap
+// it times the parallel aggregation hot paths (the best-input baseline's
+// distance matrix, the per-element median scores, batch top-k overlap
 // scoring) at threads=1 vs threads=N, verifies bit-identical results, and
 // emits rankties-bench-v2 JSON (with an obs metrics block) for the CI
 // bench-regression gate.
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "bench_json.h"
-#include "core/batch_engine.h"
 #include "core/best_input.h"
 #include "core/borda.h"
 #include "core/cost.h"
@@ -34,6 +35,7 @@
 #include "obs/obs.h"
 #include "gen/random_orders.h"
 #include "ref/ref_metrics.h"
+#include "util/checked_math.h"
 #include "util/stats.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -329,16 +331,18 @@ int RunJsonMode() {
   std::vector<benchjson::Record> records;
   bool all_match = true;
 
-  // BestOfCandidates over the input x input grid (the best-input baseline):
-  // m^2 Kprof evaluations of n-element lists.
+  // The best-input baseline: one distance matrix, m(m-1)/2 Kprof
+  // evaluations of n-element lists.
   for (const auto& [m, n] : {std::pair<std::size_t, std::size_t>{64, 500},
                              {128, 1000}}) {
     const std::vector<BucketOrder> inputs = JsonModeInputs(m, n, 77 * m + n);
+    const auto pairs =
+        static_cast<std::size_t>(CheckedChoose2(CheckedInt64(m)));
     all_match &= EmitComparison(
-        records, "best_of_candidates", m, n, m * m, 2, m >= 64, par_threads,
-        [&] {
-          auto best = BestOfCandidates(MetricKind::kKprof, inputs, inputs);
-          return best.ok() ? best->totals : std::vector<double>();
+        records, "best_input", m, n, pairs, 2, m >= 64, par_threads, [&] {
+          auto best = BestInputAggregate(inputs, MetricKind::kKprof);
+          if (!best.ok()) std::abort();
+          return std::make_pair(best->index, best->total_cost);
         });
   }
 
@@ -377,12 +381,12 @@ int RunJsonMode() {
 
   ThreadPool::SetGlobalThreads(0);  // restore the default pool
 
-  // One instrumented BestOfCandidates pass for the metrics block.
+  // One instrumented BestInputAggregate pass for the metrics block.
   obs::Registry::Global().ResetAll();
   obs::SetEnabled(true);
   {
     const std::vector<BucketOrder> inputs = JsonModeInputs(32, 200, 3232);
-    auto best = BestOfCandidates(MetricKind::kKprof, inputs, inputs);
+    auto best = BestInputAggregate(inputs, MetricKind::kKprof);
     if (!best.ok()) all_match = false;
   }
   obs::SetEnabled(false);

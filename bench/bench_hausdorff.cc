@@ -39,8 +39,10 @@ bool BruteVsPolynomial() {
     const BucketOrder tau = RandomBucketOrderWithBuckets(n, n / 2 + 1, rng);
     const std::int64_t pairs = ref::RefinementPairCount(sigma, tau);
     Stopwatch brute_watch;
-    const std::int64_t brute_k = ref::KHausdorff(sigma, tau);
-    const std::int64_t brute_twice_f = ref::TwiceFHausdorff(sigma, tau);
+    const ref::RefinementMetrics brute =
+        ref::ComputeRefinementMetrics(sigma, tau);
+    const std::int64_t brute_k = brute.khaus;
+    const std::int64_t brute_twice_f = brute.twice_fhaus;
     const double brute_ms = brute_watch.Millis();
     Stopwatch fast_watch;
     const std::int64_t fast_k = KHausdorff(sigma, tau);

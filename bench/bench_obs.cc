@@ -16,10 +16,6 @@
 //    point event once, so trace_span/recording should stay within 2x of
 //    flight_record/enabled; a disabled span reads no clock at all.
 //
-// With -DRANKTIES_OBS_DISABLED the same binary measures the compiled-out
-// configuration: every primitive optimizes to nothing and the end-to-end
-// delta is pure noise (the acceptance bar is "exactly zero overhead").
-//
 // `bench_obs --json` emits rankties-bench-v2 JSON (with a populated
 // metrics block) for the CI bench-regression gate.
 
@@ -44,12 +40,6 @@ constexpr std::size_t kLists = 48;
 constexpr std::size_t kDomain = 600;
 constexpr int kReps = 150;  // median-of-ratios pool; one rep is ~1 ms
 constexpr std::int64_t kPrimitiveOps = 1'000'000;
-
-#ifdef RANKTIES_OBS_DISABLED
-constexpr bool kCompiledOut = true;
-#else
-constexpr bool kCompiledOut = false;
-#endif
 
 std::vector<BucketOrder> MakeLists(std::size_t m, std::size_t n) {
   Rng rng(1000 * m + n);
@@ -238,7 +228,7 @@ double FlightRecordNsPerOp() {
   recorder.SetEnabled(true);
   Stopwatch watch;
   for (std::int64_t i = 0; i < kPrimitiveOps; ++i) {
-    RANKTIES_FLIGHT(obs::FlightEventId::kIncrementalMove, i);
+    obs::FlightRecord(obs::FlightEventId::kIncrementalMove, i);
   }
   const double seconds = watch.Seconds();
   recorder.SetEnabled(false);
@@ -282,7 +272,6 @@ int RunJsonMode() {
         .Num("seconds_baseline", overhead.baseline_seconds)
         .Num("seconds_enabled", overhead.enabled_seconds)
         .Num("overhead_pct", overhead.overhead_pct)
-        .Bool("compiled_out", kCompiledOut)
         .Bool("gate_eligible", true);
     records.push_back(record);
   }
@@ -298,7 +287,6 @@ int RunJsonMode() {
         .Num("seconds_baseline", row.overhead.baseline_seconds)
         .Num("seconds_enabled", row.overhead.enabled_seconds)
         .Num("overhead_pct", row.overhead.overhead_pct)
-        .Bool("compiled_out", kCompiledOut)
         .Bool("gate_eligible", true);
     records.push_back(record);
   }
@@ -319,7 +307,6 @@ int RunJsonMode() {
     record.Str("name", primitive.name)
         .Str("mode", primitive.mode)
         .Num("ns_per_op", primitive.ns)
-        .Bool("compiled_out", kCompiledOut)
         .Bool("gate_eligible", false);
     records.push_back(record);
   }
@@ -342,8 +329,7 @@ int RunJsonMode() {
 }
 
 void RunHumanMode() {
-  std::printf("=== src/obs instrumentation overhead (%s build) ===\n",
-              kCompiledOut ? "RANKTIES_OBS_DISABLED" : "instrumented");
+  std::printf("=== src/obs instrumentation overhead ===\n");
   const OverheadResult overhead = MeasureOverhead();
   std::printf(
       "\nDistanceMatrix(Kprof, m=%zu, n=%zu), median ratio of %d off/on "
@@ -381,7 +367,7 @@ void RunHumanMode() {
               SpanNsPerOp(true));
   std::printf("  FlightSpan runtime-disabled    : %8.2f\n",
               SpanNsPerOp(false));
-  std::printf("  RANKTIES_FLIGHT enabled        : %8.2f\n",
+  std::printf("  FlightRecord enabled           : %8.2f\n",
               FlightRecordNsPerOp());
 }
 

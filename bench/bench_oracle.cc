@@ -30,8 +30,10 @@ void EnumerationOracleCost() {
     const BucketOrder tau = RandomBucketOrderWithBuckets(n, n / 2 + 1, rng);
     const std::int64_t pairs = ref::RefinementPairCount(sigma, tau);
     Stopwatch ref_watch;
-    const std::int64_t ref_k = ref::KHausdorff(sigma, tau);
-    const std::int64_t ref_f = ref::TwiceFHausdorff(sigma, tau);
+    const ref::RefinementMetrics oracle =
+        ref::ComputeRefinementMetrics(sigma, tau);
+    const std::int64_t ref_k = oracle.khaus;
+    const std::int64_t ref_f = oracle.twice_fhaus;
     const double ref_ms = ref_watch.Millis();
     Stopwatch core_watch;
     const std::int64_t core_k = KHausdorff(sigma, tau);

@@ -216,7 +216,7 @@ struct MatrixCaseResult {
   double outofcore_seconds = 0.0;
   bool match_in_ram = false;
   CacheReport cache;
-  std::int64_t chunk_loads = 0;  ///< per call; 0 when obs is compiled out
+  std::int64_t chunk_loads = 0;  ///< per call
 };
 
 MatrixCaseResult RunMatrixCase(MetricKind kind,

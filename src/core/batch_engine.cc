@@ -131,50 +131,6 @@ std::vector<double> DistancesToAll(MetricKind kind,
   return distances;
 }
 
-StatusOr<BestCandidateResult> BestOfCandidates(
-    MetricKind kind, const std::vector<BucketOrder>& candidates,
-    const std::vector<BucketOrder>& lists) {
-  if (candidates.empty()) {
-    return Status::InvalidArgument("no candidate rankings");
-  }
-  if (lists.empty()) return Status::InvalidArgument("no input rankings");
-
-  const std::size_t c = candidates.size();
-  const std::size_t l = lists.size();
-  // Flat candidate x list grid so parallelism scales with c*l even when one
-  // side is small (one candidate, many lists — or the reverse).
-  std::vector<double> grid(c * l, 0.0);
-  obs::FlightSpan span(obs::FlightEventId::kBatchBestOf);
-  span.SetArgs(static_cast<std::int64_t>(c), static_cast<std::int64_t>(l));
-  RANKTIES_OBS_COUNT("batch.metric_evals", static_cast<std::int64_t>(c * l));
-  ParallelFor(0, c * l, AutoGrain(c * l),
-              [&](std::size_t lo, std::size_t hi) {
-                obs::ScopedHistogramTimer shard_timer(ShardTimeHistogram());
-                PairScratch& scratch = LaneScratch();
-                for (std::size_t t = lo; t < hi; ++t) {
-                  grid[t] = ComputeMetric(kind, candidates[t / l],
-                                          lists[t % l], scratch);
-                }
-              });
-
-  BestCandidateResult best;
-  best.totals.resize(c, 0.0);
-  for (std::size_t ci = 0; ci < c; ++ci) {
-    double total = 0.0;
-    for (std::size_t j = 0; j < l; ++j) total += grid[ci * l + j];
-    best.totals[ci] = total;
-  }
-  best.index = 0;
-  best.total_cost = best.totals[0];
-  for (std::size_t ci = 1; ci < c; ++ci) {
-    if (best.totals[ci] < best.total_cost) {
-      best.index = ci;
-      best.total_cost = best.totals[ci];
-    }
-  }
-  return best;
-}
-
 namespace {
 
 // Relation of the moved element e to a fixed element x in one ranking:
@@ -385,10 +341,10 @@ void IncrementalDistanceMatrix::FinishMove(std::size_t list, ElementId e) {
   } else {
     RefreshRow(list);
   }
-  RANKTIES_FLIGHT(obs::FlightEventId::kIncrementalMove,
-                  static_cast<std::int64_t>(list),
-                  static_cast<std::int64_t>(e),
-                  static_cast<std::int64_t>(lists_.size()) - 1);
+  obs::FlightRecord(obs::FlightEventId::kIncrementalMove,
+                    static_cast<std::int64_t>(list),
+                    static_cast<std::int64_t>(e),
+                    static_cast<std::int64_t>(lists_.size()) - 1);
 }
 
 void IncrementalDistanceMatrix::CaptureAffected(const BucketOrder& ranking,
@@ -428,9 +384,9 @@ Status IncrementalDistanceMatrix::ReplaceList(std::size_t list,
   }
   lists_[list] = order;
   RefreshRow(list);
-  RANKTIES_FLIGHT(obs::FlightEventId::kIncrementalReplace,
-                  static_cast<std::int64_t>(list),
-                  static_cast<std::int64_t>(lists_.size()) - 1);
+  obs::FlightRecord(obs::FlightEventId::kIncrementalReplace,
+                    static_cast<std::int64_t>(list),
+                    static_cast<std::int64_t>(lists_.size()) - 1);
   return Status::Ok();
 }
 

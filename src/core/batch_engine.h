@@ -52,19 +52,6 @@ std::vector<double> DistancesToAll(MetricKind kind,
                                    const BucketOrder& candidate,
                                    const std::vector<BucketOrder>& lists);
 
-struct BestCandidateResult {
-  std::size_t index = 0;        ///< argmin candidate (lowest index on ties)
-  double total_cost = 0.0;      ///< its summed distance to all lists
-  std::vector<double> totals;  ///< totals[c] = sum_j d(candidates[c], ...)
-};
-
-/// Evaluates every candidate's total distance to `lists` (parallel over the
-/// candidate x list grid) and picks the minimizer, first index on ties.
-/// Fails when either side is empty.
-StatusOr<BestCandidateResult> BestOfCandidates(
-    MetricKind kind, const std::vector<BucketOrder>& candidates,
-    const std::vector<BucketOrder>& lists);
-
 /// A live all-pairs distance matrix under continuous mutation. Where
 /// DistanceMatrix answers one-shot batch queries, this engine keeps the
 /// m x m matrix current while individual rankings mutate:

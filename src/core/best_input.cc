@@ -6,12 +6,19 @@ namespace rankties {
 
 StatusOr<BestInputResult> BestInputAggregate(
     const std::vector<BucketOrder>& inputs, MetricKind kind) {
-  // Candidates and lists coincide: the m^2 metric evaluations run on the
-  // global thread pool; the argmin (first index on ties, matching the old
-  // serial scan) stays serial.
-  StatusOr<BestCandidateResult> best = BestOfCandidates(kind, inputs, inputs);
-  if (!best.ok()) return best.status();
-  return BestInputResult{best->index, best->total_cost};
+  if (inputs.empty()) return Status::InvalidArgument("no input rankings");
+  // Every metric is symmetric and integer-exact, so one DistanceMatrix
+  // (each pair once, on the global thread pool) gives every row sum the
+  // full m x m grid would. Sums and the argmin (first index on ties) run
+  // serially in index order.
+  const std::vector<std::vector<double>> matrix = DistanceMatrix(kind, inputs);
+  BestInputResult best;
+  for (std::size_t i = 0; i < matrix.size(); ++i) {
+    double total = 0.0;
+    for (const double d : matrix[i]) total += d;
+    if (i == 0 || total < best.total_cost) best = {i, total};
+  }
+  return best;
 }
 
 }  // namespace rankties

@@ -20,8 +20,9 @@ struct BestInputResult {
   double total_cost = 0.0; ///< its summed distance to all inputs
 };
 
-/// Picks the input minimizing sum_j d(sigma_i, sigma_j) under `kind`.
-/// O(m^2) metric evaluations. Fails on an empty input list.
+/// Picks the input minimizing sum_j d(sigma_i, sigma_j) under `kind`,
+/// the first index on ties. One DistanceMatrix: m(m-1)/2 metric
+/// evaluations. Fails on an empty input list.
 StatusOr<BestInputResult> BestInputAggregate(
     const std::vector<BucketOrder>& inputs, MetricKind kind);
 

@@ -78,9 +78,9 @@ Status OnlineMedianAggregator::AddVoter(const BucketOrder& voter) {
   RANKTIES_OBS_COUNT("online_median.add_voters", 1);
   RANKTIES_OBS_COUNT("online_median.elements_touched",
                      static_cast<std::int64_t>(n()));
-  RANKTIES_FLIGHT(obs::FlightEventId::kOnlineMedianAdd,
-                  static_cast<std::int64_t>(m - 1),
-                  static_cast<std::int64_t>(n()));
+  obs::FlightRecord(obs::FlightEventId::kOnlineMedianAdd,
+                    static_cast<std::int64_t>(m - 1),
+                    static_cast<std::int64_t>(n()));
   return Status::Ok();
 }
 
@@ -108,8 +108,8 @@ Status OnlineMedianAggregator::UpdateVoter(std::size_t index,
   }
   RANKTIES_OBS_COUNT("online_median.update_voters", 1);
   RANKTIES_OBS_COUNT("online_median.elements_touched", touched);
-  RANKTIES_FLIGHT(obs::FlightEventId::kOnlineMedianUpdate,
-                  static_cast<std::int64_t>(index), touched);
+  obs::FlightRecord(obs::FlightEventId::kOnlineMedianUpdate,
+                    static_cast<std::int64_t>(index), touched);
   return Status::Ok();
 }
 
@@ -133,9 +133,9 @@ Status OnlineMedianAggregator::RemoveVoter(std::size_t index) {
   RANKTIES_OBS_COUNT("online_median.remove_voters", 1);
   RANKTIES_OBS_COUNT("online_median.elements_touched",
                      static_cast<std::int64_t>(n()));
-  RANKTIES_FLIGHT(obs::FlightEventId::kOnlineMedianRemove,
-                  static_cast<std::int64_t>(index),
-                  static_cast<std::int64_t>(m));
+  obs::FlightRecord(obs::FlightEventId::kOnlineMedianRemove,
+                    static_cast<std::int64_t>(index),
+                    static_cast<std::int64_t>(m));
   return Status::Ok();
 }
 

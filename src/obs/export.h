@@ -21,9 +21,6 @@
 ///    events, microsecond timestamps, and the recorder's dropped and
 ///    overwritten counts under "otherData". Loads directly in
 ///    ui.perfetto.dev and chrome://tracing; `rank_tool --trace` writes it.
-///
-/// With RANKTIES_OBS_DISABLED every export stays a valid (empty) document,
-/// keeping the rank_tool flags functional in every build.
 
 #include <string>
 

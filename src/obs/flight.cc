@@ -24,7 +24,6 @@ constexpr EventInfo kEvents[] = {
     {"batch.distance_matrix", {"lists", "pairs", "tiles"}},
     {"batch.distance_matrix_unprepared", {"lists", "pairs"}},
     {"batch.distances_to_all", {"lists"}},
-    {"batch.best_of_candidates", {"candidates", "lists"}},
     {"incremental.move", {"list", "element", "pairs"}},
     {"incremental.replace_list", {"list", "pairs"}},
     {"online_median.add_voter", {"voter", "n"}},
@@ -55,8 +54,6 @@ const char* FlightEventArgName(FlightEventId id, std::size_t i) {
   return index < std::size(kEvents) && i < 3 ? kEvents[index].args[i]
                                              : nullptr;
 }
-
-#ifndef RANKTIES_OBS_DISABLED
 
 namespace {
 
@@ -197,15 +194,6 @@ void FlightRecorder::DumpToStderr(std::size_t max_events) const {
                  static_cast<long long>(e.args[2]));
   }
 }
-
-#else  // RANKTIES_OBS_DISABLED
-
-FlightRecorder& FlightRecorder::Global() {
-  static FlightRecorder* const recorder = new FlightRecorder();
-  return *recorder;
-}
-
-#endif  // RANKTIES_OBS_DISABLED
 
 }  // namespace obs
 }  // namespace rankties

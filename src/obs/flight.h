@@ -9,9 +9,9 @@
 ///
 /// Events come in two forms that share the rings:
 ///
-///   RANKTIES_FLIGHT(FlightEventId::kOnlineMedianAdd, voter, n);  // point
+///   obs::FlightRecord(FlightEventId::kOnlineMedianAdd, voter, n);  // point
 ///
-///   obs::FlightSpan span(FlightEventId::kBatchMatrix);           // span
+///   obs::FlightSpan span(FlightEventId::kBatchMatrix);              // span
 ///   span.SetArgs(m, pairs, tiles);
 ///
 /// A FlightSpan reads the clock only if the recorder is on when it opens;
@@ -31,9 +31,6 @@
 /// never block a drain; an event overwritten mid-read can be torn (mixed
 /// fields), which post-mortem consumers must tolerate — quiesce writers
 /// first when exact replay matters.
-///
-/// With RANKTIES_OBS_DISABLED everything collapses to empty inline
-/// functions and the macro evaluates its arguments into dead locals.
 
 #include <array>
 #include <atomic>
@@ -54,7 +51,6 @@ enum class FlightEventId : std::uint32_t {
   kBatchMatrix,             ///< span: lists, pairs, tiles
   kBatchMatrixUnprepared,   ///< span: lists, pairs
   kBatchDistancesToAll,     ///< span: lists
-  kBatchBestOf,             ///< span: candidates, lists
   kIncrementalMove,         ///< point: list, element, pairs
   kIncrementalReplace,      ///< point: list, pairs
   kOnlineMedianAdd,         ///< point: voter, n
@@ -88,8 +84,6 @@ struct FlightEvent {
 
   bool is_span() const { return dur_ns >= 0; }
 };
-
-#ifndef RANKTIES_OBS_DISABLED
 
 class FlightRecorder {
  public:
@@ -219,45 +213,7 @@ class FlightSpan {
   std::array<std::int64_t, 3> args_{};
 };
 
-#else  // RANKTIES_OBS_DISABLED
-
-class FlightRecorder {
- public:
-  static constexpr std::size_t kEventsPerThread = 0;
-  static constexpr std::size_t kMaxThreads = 0;
-  static FlightRecorder& Global();
-  void SetEnabled(bool) {}
-  bool enabled() const { return false; }
-  void Record(FlightEventId, std::int64_t = 0, std::int64_t = 0,
-              std::int64_t = 0) {}
-  void RecordSpan(FlightEventId, std::int64_t,
-                  const std::array<std::int64_t, 3>&) {}
-  std::vector<FlightEvent> Drain() const { return {}; }
-  std::int64_t dropped() const { return 0; }
-  std::int64_t overwritten() const { return 0; }
-  void Clear() {}
-  void DumpToStderr(std::size_t = 0) const {}
-};
-
-inline void FlightRecord(FlightEventId, std::int64_t = 0, std::int64_t = 0,
-                         std::int64_t = 0) {}
-
-class FlightSpan {
- public:
-  explicit FlightSpan(FlightEventId) {}
-  FlightSpan(const FlightSpan&) = delete;
-  FlightSpan& operator=(const FlightSpan&) = delete;
-  void SetArgs(std::int64_t, std::int64_t = 0, std::int64_t = 0) {}
-};
-
-#endif  // RANKTIES_OBS_DISABLED
-
 }  // namespace obs
 }  // namespace rankties
-
-/// Hot-path point-event macro; arguments are evaluated (cheap locals) and
-/// the optimizer deletes the call entirely under RANKTIES_OBS_DISABLED.
-#define RANKTIES_FLIGHT(id, ...) \
-  ::rankties::obs::FlightRecord((id), __VA_ARGS__)
 
 #endif  // RANKTIES_OBS_FLIGHT_H_

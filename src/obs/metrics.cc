@@ -5,8 +5,6 @@
 namespace rankties {
 namespace obs {
 
-#ifndef RANKTIES_OBS_DISABLED
-
 namespace internal {
 
 std::atomic<bool> g_enabled{false};
@@ -111,15 +109,6 @@ void Registry::ResetAll() {
   for (const auto& entry : counters_) entry.second->Reset();
   for (const auto& entry : histograms_) entry.second->Reset();
 }
-
-#else  // RANKTIES_OBS_DISABLED
-
-Registry& Registry::Global() {
-  static Registry* const registry = new Registry();
-  return *registry;
-}
-
-#endif  // RANKTIES_OBS_DISABLED
 
 }  // namespace obs
 }  // namespace rankties

@@ -7,11 +7,8 @@
 /// named handles (src/obs/README: docs/OBSERVABILITY.md has the catalog).
 ///
 /// Cost model:
-///  * compiled out — building with -DRANKTIES_OBS_DISABLED reduces every
-///    operation to an empty inline function; call sites keep compiling and
-///    the optimizer erases them entirely (exactly zero overhead);
-///  * runtime-disabled (the default) — Counter::Add / Histogram::Record are
-///    one relaxed atomic load and a predicted-not-taken branch;
+///  * disabled (the default) — Counter::Add / Histogram::Record are one
+///    relaxed atomic load and a predicted-not-taken branch;
 ///  * enabled — a relaxed fetch_add on a per-thread cache-line-padded
 ///    shard; shards are merged only on read, so concurrent writers never
 ///    contend on a line and totals are exact.
@@ -57,8 +54,6 @@ struct HistogramSnapshot {
                       : static_cast<double>(sum) / static_cast<double>(count);
   }
 };
-
-#ifndef RANKTIES_OBS_DISABLED
 
 class Counter;
 
@@ -237,65 +232,6 @@ inline Counter* GetCounter(std::string_view name) {
 inline Histogram* GetHistogram(std::string_view name) {
   return Registry::Global().GetHistogram(name);
 }
-
-#else  // RANKTIES_OBS_DISABLED
-
-// Compiled-out mode: the full API with empty inline bodies. Arguments are
-// still evaluated (they are cheap locals at every call site) and then dead;
-// the optimizer removes the calls entirely.
-
-inline bool Enabled() { return false; }
-inline void SetEnabled(bool) {}
-
-class Counter {
- public:
-  void Add(std::int64_t) {}
-  void Increment() {}
-  std::int64_t Value() const { return 0; }
-  void Reset() {}
-  const std::string& name() const { return empty_; }
-
- private:
-  friend class Registry;
-  std::string empty_;
-};
-
-class Histogram {
- public:
-  void Record(std::int64_t) {}
-  static std::size_t BucketIndex(std::int64_t) { return 0; }
-  static std::int64_t BucketUpperEdge(std::size_t) { return 0; }
-  HistogramSnapshot Snapshot() const { return {}; }
-  void Reset() {}
-  const std::string& name() const { return empty_; }
-
- private:
-  friend class Registry;
-  std::string empty_;
-};
-
-class Registry {
- public:
-  static Registry& Global();
-  Counter* GetCounter(std::string_view) { return &counter_; }
-  Histogram* GetHistogram(std::string_view) { return &histogram_; }
-  std::vector<CounterSnapshot> CounterSnapshots() const { return {}; }
-  std::vector<HistogramSnapshot> HistogramSnapshots() const { return {}; }
-  void ResetAll() {}
-
- private:
-  Counter counter_;
-  Histogram histogram_;
-};
-
-inline Counter* GetCounter(std::string_view name) {
-  return Registry::Global().GetCounter(name);
-}
-inline Histogram* GetHistogram(std::string_view name) {
-  return Registry::Global().GetHistogram(name);
-}
-
-#endif  // RANKTIES_OBS_DISABLED
 
 }  // namespace obs
 }  // namespace rankties

@@ -13,15 +13,12 @@
 /// The macros cache the registry handle in a function-local static, so the
 /// name lookup happens once per call site; afterwards the cost is one
 /// relaxed load + branch (disabled) or one sharded relaxed fetch_add
-/// (enabled). With RANKTIES_OBS_DISABLED everything collapses to empty
-/// inline functions the optimizer deletes.
+/// (enabled).
 
 #include "obs/export.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
-
-#ifndef RANKTIES_OBS_DISABLED
 
 #define RANKTIES_OBS_COUNT(name, delta)                           \
   do {                                                            \
@@ -37,28 +34,8 @@
     rankties_obs_handle->Record(value);                            \
   } while (0)
 
-#else  // RANKTIES_OBS_DISABLED
-
 namespace rankties {
 namespace obs {
-namespace internal {
-// Arguments are evaluated (cheap locals at every call site) and then dead.
-inline void NoopCount(const char*, std::int64_t) {}
-}  // namespace internal
-}  // namespace obs
-}  // namespace rankties
-
-#define RANKTIES_OBS_COUNT(name, delta) \
-  ::rankties::obs::internal::NoopCount(name, delta)
-#define RANKTIES_OBS_RECORD(name, value) \
-  ::rankties::obs::internal::NoopCount(name, value)
-
-#endif  // RANKTIES_OBS_DISABLED
-
-namespace rankties {
-namespace obs {
-
-#ifndef RANKTIES_OBS_DISABLED
 
 /// Times a scope into a histogram (nanoseconds), e.g. one batch-engine
 /// shard. Inert — no clock reads — unless metrics are enabled at
@@ -83,17 +60,6 @@ class ScopedHistogramTimer {
   Histogram* histogram_;
   std::int64_t start_ns_ = 0;
 };
-
-#else  // RANKTIES_OBS_DISABLED
-
-class ScopedHistogramTimer {
- public:
-  explicit ScopedHistogramTimer(Histogram*) {}
-  ScopedHistogramTimer(const ScopedHistogramTimer&) = delete;
-  ScopedHistogramTimer& operator=(const ScopedHistogramTimer&) = delete;
-};
-
-#endif  // RANKTIES_OBS_DISABLED
 
 }  // namespace obs
 }  // namespace rankties

@@ -23,8 +23,6 @@ std::int64_t QueryUnitSnapshot::CostMaxPerQuery(
   return 0;
 }
 
-#ifndef RANKTIES_OBS_DISABLED
-
 SloRegistry& SloRegistry::Global() {
   // Leaked on purpose: see the class comment.
   static SloRegistry* const registry = new SloRegistry();
@@ -142,15 +140,6 @@ void QueryUnitScope::OnCounterAdd(Counter* counter, std::int64_t delta) {
   }
   attributed_.emplace_back(counter, delta);
 }
-
-#else  // RANKTIES_OBS_DISABLED
-
-SloRegistry& SloRegistry::Global() {
-  static SloRegistry* const registry = new SloRegistry();
-  return *registry;
-}
-
-#endif  // RANKTIES_OBS_DISABLED
 
 }  // namespace obs
 }  // namespace rankties

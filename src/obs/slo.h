@@ -31,8 +31,6 @@
 /// Each scope is also one `slo.query_unit` span in the flight recorder.
 /// Unit stats surface in tests and in the OpenMetrics export
 /// (src/obs/export.h).
-///
-/// With RANKTIES_OBS_DISABLED everything collapses to empty inline stubs.
 
 #include <array>
 #include <cstdint>
@@ -78,8 +76,6 @@ struct QueryUnitSnapshot {
   /// Worst single-query attribution for `counter` (0 if never touched).
   std::int64_t CostMaxPerQuery(std::string_view counter) const;
 };
-
-#ifndef RANKTIES_OBS_DISABLED
 
 /// Process-wide accumulator of per-unit stats.
 class SloRegistry {
@@ -158,37 +154,6 @@ class QueryUnitScope : private internal::CounterSink {
   /// a flat vector beats a map on the Add hot path.
   std::vector<std::pair<Counter*, std::int64_t>> attributed_;
 };
-
-#else  // RANKTIES_OBS_DISABLED
-
-class SloRegistry {
- public:
-  static SloRegistry& Global();
-  std::vector<QueryUnitSnapshot> UnitSnapshots() const { return {}; }
-  QueryUnitSnapshot UnitSnapshot(std::string_view unit) const {
-    QueryUnitSnapshot snapshot;
-    snapshot.unit = std::string(unit);
-    return snapshot;
-  }
-  void ResetAll() {}
-};
-
-class QueryUnitScope {
- public:
-  explicit QueryUnitScope(std::string_view unit) : unit_(unit) {}
-
-  QueryUnitScope(const QueryUnitScope&) = delete;
-  QueryUnitScope& operator=(const QueryUnitScope&) = delete;
-
-  std::int64_t Attributed(const Counter*) const { return 0; }
-  std::vector<CounterSnapshot> AttributedSnapshots() const { return {}; }
-  const std::string& unit() const { return unit_; }
-
- private:
-  std::string unit_;
-};
-
-#endif  // RANKTIES_OBS_DISABLED
 
 }  // namespace obs
 }  // namespace rankties

@@ -88,24 +88,6 @@ std::int64_t FootruleOnRanks(const std::vector<std::int32_t>& a,
   return total;
 }
 
-// The literal Hausdorff max-min over two explicit refinement sets.
-template <typename Dist>
-std::int64_t HausdorffOnSets(const std::vector<std::vector<std::int32_t>>& xs,
-                             const std::vector<std::vector<std::int32_t>>& ys,
-                             Dist dist) {
-  auto directed = [&](const std::vector<std::vector<std::int32_t>>& from,
-                      const std::vector<std::vector<std::int32_t>>& to) {
-    std::int64_t max_min = 0;
-    for (const auto& x : from) {
-      std::int64_t best = std::numeric_limits<std::int64_t>::max();
-      for (const auto& y : to) best = std::min(best, dist(x, y));
-      max_min = std::max(max_min, best);
-    }
-    return max_min;
-  };
-  return std::max(directed(xs, ys), directed(ys, xs));
-}
-
 std::int64_t SaturatingFactorialProduct(const BucketOrder& sigma,
                                         std::int64_t acc) {
   constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
@@ -228,31 +210,58 @@ std::int64_t RefinementPairCount(const BucketOrder& sigma,
                                     SaturatingFactorialProduct(sigma, 1));
 }
 
-std::int64_t KHausdorff(const BucketOrder& sigma, const BucketOrder& tau) {
-  RANKTIES_DCHECK(sigma.n() == tau.n());
-  return HausdorffOnSets(CollectRefinementRanks(sigma),
-                         CollectRefinementRanks(tau), KendallOnRanks);
-}
-
-std::int64_t TwiceFHausdorff(const BucketOrder& sigma,
-                             const BucketOrder& tau) {
-  RANKTIES_DCHECK(sigma.n() == tau.n());
-  return 2 * HausdorffOnSets(CollectRefinementRanks(sigma),
-                             CollectRefinementRanks(tau), FootruleOnRanks);
-}
-
-double Kavg(const BucketOrder& sigma, const BucketOrder& tau) {
+RefinementMetrics ComputeRefinementMetrics(const BucketOrder& sigma,
+                                           const BucketOrder& tau) {
   RANKTIES_DCHECK(sigma.n() == tau.n());
   const std::vector<std::vector<std::int32_t>> xs =
       CollectRefinementRanks(sigma);
   const std::vector<std::vector<std::int32_t>> ys =
       CollectRefinementRanks(tau);
-  std::int64_t total = 0;
-  for (const auto& x : xs) {
-    for (const auto& y : ys) total += KendallOnRanks(x, y);
+  // The literal Hausdorff max-min in both directions: each refinement's
+  // distance to the nearest refinement of the other side, per metric. Both
+  // distances are symmetric, so one pass fills the row (x) and column (y)
+  // minima alike.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  std::vector<std::int64_t> x_min_k(xs.size(), kMax);
+  std::vector<std::int64_t> x_min_f(xs.size(), kMax);
+  std::vector<std::int64_t> y_min_k(ys.size(), kMax);
+  std::vector<std::int64_t> y_min_f(ys.size(), kMax);
+  std::int64_t kendall_sum = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    for (std::size_t j = 0; j < ys.size(); ++j) {
+      const std::int64_t k = KendallOnRanks(xs[i], ys[j]);
+      const std::int64_t f = FootruleOnRanks(xs[i], ys[j]);
+      kendall_sum += k;
+      x_min_k[i] = std::min(x_min_k[i], k);
+      y_min_k[j] = std::min(y_min_k[j], k);
+      x_min_f[i] = std::min(x_min_f[i], f);
+      y_min_f[j] = std::min(y_min_f[j], f);
+    }
   }
-  return static_cast<double>(total) /
-         static_cast<double>(xs.size() * ys.size());
+  const auto max_min = [](const std::vector<std::int64_t>& from_x,
+                          const std::vector<std::int64_t>& from_y) {
+    return std::max(*std::max_element(from_x.begin(), from_x.end()),
+                    *std::max_element(from_y.begin(), from_y.end()));
+  };
+  RefinementMetrics metrics;
+  metrics.khaus = max_min(x_min_k, y_min_k);
+  metrics.twice_fhaus = 2 * max_min(x_min_f, y_min_f);
+  metrics.kavg = static_cast<double>(kendall_sum) /
+                 static_cast<double>(xs.size() * ys.size());
+  return metrics;
+}
+
+std::int64_t KHausdorff(const BucketOrder& sigma, const BucketOrder& tau) {
+  return ComputeRefinementMetrics(sigma, tau).khaus;
+}
+
+std::int64_t TwiceFHausdorff(const BucketOrder& sigma,
+                             const BucketOrder& tau) {
+  return ComputeRefinementMetrics(sigma, tau).twice_fhaus;
+}
+
+double Kavg(const BucketOrder& sigma, const BucketOrder& tau) {
+  return ComputeRefinementMetrics(sigma, tau).kavg;
 }
 
 double ComputeMetric(MetricKind kind, const BucketOrder& sigma,

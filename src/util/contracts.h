@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "util/build_config.h"
+
 /// \file
 /// The contract layer: debug-only invariant checks for the paper's
 /// well-formedness preconditions (docs/STATIC_ANALYSIS.md).
@@ -14,7 +16,9 @@
 ///   RANKTIES_DCHECK_OK(order.Validate());
 ///   RANKTIES_BOUNDS(index, values.size());
 ///
-/// Semantics:
+/// Semantics follow the library's build, recorded at configure time as
+/// RANKTIES_DCHECK_ENABLED (util/build_config.h), not the including
+/// program's NDEBUG:
 ///  * Debug builds (no NDEBUG): a failed contract prints the expression,
 ///    file and line to stderr and aborts. `RANKTIES_DCHECK_OK` additionally
 ///    prints the Status / StatusOr error it observed.
@@ -23,18 +27,8 @@
 ///    cost zero cycles and the bench gate sees identical code. Never put a
 ///    side effect inside a contract argument.
 ///
-/// Override the default with -DRANKTIES_DCHECK_ENABLED=0/1 to force
-/// contracts off in debug or on in release (e.g. a checked production
-/// canary). Raw `assert(` is banned in src/ by tools/rankties_lint.py;
-/// these macros are the replacement.
-
-#ifndef RANKTIES_DCHECK_ENABLED
-#ifdef NDEBUG
-#define RANKTIES_DCHECK_ENABLED 0
-#else
-#define RANKTIES_DCHECK_ENABLED 1
-#endif
-#endif
+/// Raw `assert(` is banned in src/ by tools/rankties_lint.py; these macros
+/// are the replacement.
 
 namespace rankties {
 namespace contracts_internal {

@@ -56,7 +56,6 @@ std::vector<BucketOrder> TiedDisagreeing() {
   return {*l1, *l2, *l3};
 }
 
-#ifndef RANKTIES_OBS_DISABLED
 // Snapshot of the obs counters the engines maintain, for delta checks.
 struct CounterState {
   std::int64_t ta_sorted;
@@ -73,7 +72,6 @@ struct CounterState {
             obs::GetCounter("access.sorted_accesses")->Value()};
   }
 };
-#endif  // RANKTIES_OBS_DISABLED
 
 TEST(AccessCountsTest, TaOnIdenticalChains) {
   const auto result = TaMedianTopK(IdenticalChains(), 1);
@@ -127,7 +125,6 @@ TEST(AccessCountsTest, MedrankOnTiedDisagreeing) {
   EXPECT_EQ(result->depth, 1);
 }
 
-#ifndef RANKTIES_OBS_DISABLED
 // The obs counters must report the exact same accounting the result
 // structs do — one run of each engine, checked as registry deltas.
 TEST(AccessCountsTest, ObsCountersMatchResultFields) {
@@ -168,7 +165,6 @@ TEST(AccessCountsTest, ObsCountersMatchResultFields) {
   EXPECT_GE(depth.count, 1);
   obs::SetEnabled(false);
 }
-#endif  // RANKTIES_OBS_DISABLED
 
 }  // namespace
 }  // namespace rankties

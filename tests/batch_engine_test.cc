@@ -126,35 +126,33 @@ TEST_F(BatchEngineTest, DistancesToAllMatchesTotalDistance) {
   }
 }
 
-TEST_F(BatchEngineTest, BestOfCandidatesAgreesWithSerialArgmin) {
-  const std::vector<BucketOrder> lists = MakeLists(10, 18, 5);
-  const std::vector<BucketOrder> candidates = MakeLists(6, 18, 6);
+TEST_F(BatchEngineTest, BestInputAggregateAgreesWithSerialRowSums) {
+  const std::vector<BucketOrder> inputs = MakeLists(10, 18, 5);
   for (MetricKind kind : AllMetricKinds()) {
-    const auto best = BestOfCandidates(kind, candidates, lists);
-    ASSERT_TRUE(best.ok()) << best.status();
-    ASSERT_EQ(best->totals.size(), candidates.size());
     std::size_t expected_index = 0;
     double expected_cost = 0.0;
-    for (std::size_t c = 0; c < candidates.size(); ++c) {
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
       double total = 0.0;
-      for (const BucketOrder& list : lists) {
-        total += ComputeMetric(kind, candidates[c], list);
+      for (const BucketOrder& other : inputs) {
+        total += ComputeMetric(kind, inputs[i], other);
       }
-      EXPECT_EQ(best->totals[c], total);
-      if (c == 0 || total < expected_cost) {
-        expected_index = c;
+      if (i == 0 || total < expected_cost) {
+        expected_index = i;
         expected_cost = total;
       }
     }
-    EXPECT_EQ(best->index, expected_index);
-    EXPECT_EQ(best->total_cost, expected_cost);
+    for (const std::size_t threads : {1u, 4u}) {
+      ThreadPool::SetGlobalThreads(threads);
+      const auto best = BestInputAggregate(inputs, kind);
+      ASSERT_TRUE(best.ok()) << best.status();
+      EXPECT_EQ(best->index, expected_index) << MetricName(kind);
+      EXPECT_EQ(best->total_cost, expected_cost) << MetricName(kind);
+    }
   }
 }
 
-TEST_F(BatchEngineTest, BestOfCandidatesRejectsEmptySides) {
-  const std::vector<BucketOrder> lists = MakeLists(3, 8, 7);
-  EXPECT_FALSE(BestOfCandidates(MetricKind::kKprof, {}, lists).ok());
-  EXPECT_FALSE(BestOfCandidates(MetricKind::kKprof, lists, {}).ok());
+TEST_F(BatchEngineTest, BestInputAggregateRejectsEmptyInput) {
+  EXPECT_FALSE(BestInputAggregate({}, MetricKind::kKprof).ok());
 }
 
 TEST_F(BatchEngineTest, BestInputAggregateStillPicksFirstMinimizer) {

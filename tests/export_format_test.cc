@@ -1,8 +1,8 @@
 // Tests for the export formats (src/obs/export.h): JSON and OpenMetrics
 // escaping round-trips for hostile metric names (quotes, backslashes,
 // control bytes, UTF-8), cumulative-histogram validity, the Perfetto
-// document rendered from the flight rings, and valid-but-empty output in
-// every mode.
+// document rendered from the flight rings, and valid-but-empty output when
+// nothing was recorded.
 
 #include <gtest/gtest.h>
 
@@ -42,8 +42,6 @@ bool BalancedJson(const std::string& text) {
   }
   return depth == 0 && !in_string;
 }
-
-#ifndef RANKTIES_OBS_DISABLED
 
 class ExportFormatTest : public ::testing::Test {
  protected:
@@ -149,7 +147,7 @@ TEST_F(ExportFormatTest, PerfettoRendersSpansAndPointEventsFromTheRings) {
   {
     obs::FlightSpan span(obs::FlightEventId::kTaRun);
     span.SetArgs(4, 17, 6);
-    RANKTIES_FLIGHT(obs::FlightEventId::kOnlineMedianAdd, 2, 9);
+    obs::FlightRecord(obs::FlightEventId::kOnlineMedianAdd, 2, 9);
   }
   obs::FlightRecorder::Global().SetEnabled(false);
   const std::string doc = obs::PerfettoJsonDocument();
@@ -179,20 +177,6 @@ TEST_F(ExportFormatTest, EmptyDocumentsStayValid) {
   EXPECT_TRUE(BalancedJson(obs::PerfettoJsonDocument()));
   EXPECT_TRUE(BalancedJson(obs::MetricsJsonObject()));
 }
-
-#else  // RANKTIES_OBS_DISABLED
-
-TEST(ExportFormatDisabledTest, DocumentsStayValidWhenCompiledOut) {
-  const std::string om = obs::OpenMetricsText();
-  EXPECT_TRUE(om.size() >= 6 &&
-              om.compare(om.size() - 6, 6, "# EOF\n") == 0);
-  EXPECT_TRUE(BalancedJson(obs::PerfettoJsonDocument()));
-  EXPECT_TRUE(BalancedJson(obs::MetricsJsonObject()));
-  EXPECT_TRUE(Contains(obs::PerfettoJsonDocument(),
-                       "\"otherData\": {\"dropped\": 0, \"overwritten\": 0}"));
-}
-
-#endif  // RANKTIES_OBS_DISABLED
 
 }  // namespace
 }  // namespace rankties

@@ -1,8 +1,7 @@
 // Tests for the flight recorder (src/obs/flight.h): bounded
 // overwrite-oldest rings shared by spans and point events, multi-thread
 // drains, runtime-disabled no-op behavior, and the contracts-layer
-// post-mortem hook. The file compiles in
-// both build modes; live-recording tests are gated on RANKTIES_OBS_DISABLED.
+// post-mortem hook.
 
 #include <gtest/gtest.h>
 
@@ -18,8 +17,6 @@
 namespace rankties {
 namespace {
 
-#ifndef RANKTIES_OBS_DISABLED
-
 class FlightTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -33,9 +30,9 @@ class FlightTest : public ::testing::Test {
 };
 
 TEST_F(FlightTest, RecordsAndDrainsInTimestampOrder) {
-  RANKTIES_FLIGHT(obs::FlightEventId::kTaRun, 1, 10, 3);
-  RANKTIES_FLIGHT(obs::FlightEventId::kNraRun, 2, 20, 0);
-  RANKTIES_FLIGHT(obs::FlightEventId::kMedrankRun, 3, 30, 4);
+  obs::FlightRecord(obs::FlightEventId::kTaRun, 1, 10, 3);
+  obs::FlightRecord(obs::FlightEventId::kNraRun, 2, 20, 0);
+  obs::FlightRecord(obs::FlightEventId::kMedrankRun, 3, 30, 4);
   const std::vector<obs::FlightEvent> events =
       obs::FlightRecorder::Global().Drain();
   ASSERT_EQ(events.size(), 3u);
@@ -60,7 +57,7 @@ TEST_F(FlightTest, RingOverwritesOldestAndStaysBounded) {
       static_cast<std::int64_t>(obs::FlightRecorder::kEventsPerThread) +
       kExtra;
   for (std::int64_t i = 0; i < total; ++i) {
-    RANKTIES_FLIGHT(obs::FlightEventId::kParallelFor, i, 0, 0);
+    obs::FlightRecord(obs::FlightEventId::kParallelFor, i, 0, 0);
   }
   const std::vector<obs::FlightEvent> events =
       obs::FlightRecorder::Global().Drain();
@@ -84,7 +81,7 @@ TEST_F(FlightTest, SpansAndPointEventsShareTheRingThroughWrapAround) {
       obs::FlightSpan span(obs::FlightEventId::kBatchMatrix);
       span.SetArgs(i, 2 * i, 3 * i);
     }
-    RANKTIES_FLIGHT(obs::FlightEventId::kIncrementalMove, i);
+    obs::FlightRecord(obs::FlightEventId::kIncrementalMove, i);
   }
   const std::vector<obs::FlightEvent> events =
       obs::FlightRecorder::Global().Drain();
@@ -122,7 +119,7 @@ TEST_F(FlightTest, DrainMergesEventsFromMultipleThreads) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([t] {
       for (std::int64_t i = 0; i < kPerThread; ++i) {
-        RANKTIES_FLIGHT(obs::FlightEventId::kBatchBestOf, t, i, 0);
+        obs::FlightRecord(obs::FlightEventId::kIncrementalMove, t, i, 0);
       }
     });
   }
@@ -145,7 +142,7 @@ TEST_F(FlightTest, DrainMergesEventsFromMultipleThreads) {
 
 TEST_F(FlightTest, DisabledRecorderDropsEventsSilently) {
   obs::FlightRecorder::Global().SetEnabled(false);
-  RANKTIES_FLIGHT(obs::FlightEventId::kTaRun, 7, 7, 7);
+  obs::FlightRecord(obs::FlightEventId::kTaRun, 7, 7, 7);
   EXPECT_TRUE(obs::FlightRecorder::Global().Drain().empty());
   EXPECT_EQ(obs::FlightRecorder::Global().dropped(), 0);
 }
@@ -175,32 +172,12 @@ using FlightDeathTest = FlightTest;
 TEST_F(FlightDeathTest, ContractFailureDumpsPostMortem) {
   // Enabling the recorder installed the contracts failure hook; a violated
   // DCHECK must print the recorded events before aborting.
-  RANKTIES_FLIGHT(obs::FlightEventId::kMedrankRun, 5, 123, 2);
+  obs::FlightRecord(obs::FlightEventId::kMedrankRun, 5, 123, 2);
   EXPECT_DEATH(RANKTIES_DCHECK(1 == 2),
                "flight recorder post-mortem.*access\\.medrank\\.run");
 }
 
 #endif  // RANKTIES_DCHECK_ENABLED && GTEST_HAS_DEATH_TEST
-
-#else  // RANKTIES_OBS_DISABLED
-
-TEST(FlightDisabledTest, ApiIsInertButValid) {
-  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
-  recorder.SetEnabled(true);  // must be a no-op
-  EXPECT_FALSE(recorder.enabled());
-  RANKTIES_FLIGHT(obs::FlightEventId::kTaRun, 1, 2, 3);
-  {
-    obs::FlightSpan span(obs::FlightEventId::kTaRun);
-    span.SetArgs(1, 2, 3);
-  }
-  EXPECT_TRUE(recorder.Drain().empty());
-  EXPECT_EQ(recorder.dropped(), 0);
-  EXPECT_EQ(recorder.overwritten(), 0);
-  recorder.DumpToStderr();
-  recorder.Clear();
-}
-
-#endif  // RANKTIES_OBS_DISABLED
 
 }  // namespace
 }  // namespace rankties

@@ -15,9 +15,8 @@
 namespace rankties::fuzz {
 
 struct DriverOptions {
-  /// Enumeration oracles (ref::KHausdorff / ref::TwiceFHausdorff /
-  /// ref::Kavg) only run when |R(sigma)| * |R(tau)| stays within this
-  /// budget.
+  /// The enumeration oracle (ref::ComputeRefinementMetrics) only runs
+  /// when |R(sigma)| * |R(tau)| stays within this budget.
   std::int64_t enumeration_budget = 400'000;
   /// Lane count of the "wide" batch-engine pass (the 1-lane pass always
   /// runs too).

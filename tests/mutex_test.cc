@@ -16,9 +16,7 @@
 
 #include "util/thread_pool.h"
 #include "gtest/gtest.h"
-#ifndef RANKTIES_OBS_DISABLED
 #include "obs/flight.h"
-#endif
 
 namespace rankties {
 namespace {
@@ -319,18 +317,16 @@ TEST(MutexDeathTest, AssertHeldWithoutTheLockAborts) {
   EXPECT_DEATH(AssertHeldWithoutTheLock(), "contract violation");
 }
 
-#ifndef RANKTIES_OBS_DISABLED
 TEST(MutexDeathTest, InversionAbortDumpsFlightRecorderPostMortem) {
   EXPECT_DEATH(
       {
         obs::FlightRecorder::Global().SetEnabled(true);
-        RANKTIES_FLIGHT(obs::FlightEventId::kParallelFor, 64, 8, 4);
+        obs::FlightRecord(obs::FlightEventId::kParallelFor, 64, 8, 4);
         sync_internal::Graph().ResetForTest();
         SeedThenInvert("test.flight.a", "test.flight.b");
       },
       "flight recorder post-mortem");
 }
-#endif  // RANKTIES_OBS_DISABLED
 
 #else  // !RANKTIES_DCHECK_ENABLED
 

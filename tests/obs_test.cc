@@ -1,17 +1,28 @@
 // Tests for the src/obs observability subsystem: counter/histogram
 // exactness under concurrent writers, flight-span nesting, JSON export
-// round-trip, and the runtime-disabled / compiled-out behavior. The whole
-// file compiles in both build modes; tests that need live collection are
-// gated on RANKTIES_OBS_DISABLED and replaced by no-op-behavior checks
-// there.
+// round-trip, and the disabled (default) behavior.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "access/access_model.h"
+#include "access/medrank_engine.h"
+#include "access/medrank_stream.h"
+#include "access/nra_median.h"
+#include "access/ta_median.h"
+#include "core/batch_engine.h"
+#include "core/best_input.h"
+#include "core/online_median.h"
+#include "core/outofcore.h"
+#include "gen/random_orders.h"
 #include "obs/obs.h"
+#include "store/corpus_reader.h"
+#include "store/corpus_writer.h"
+#include "util/rng.h"
 
 namespace rankties {
 namespace {
@@ -46,8 +57,6 @@ bool BalancedJson(const std::string& text) {
 bool Contains(const std::string& text, const std::string& needle) {
   return text.find(needle) != std::string::npos;
 }
-
-#ifndef RANKTIES_OBS_DISABLED
 
 class ObsTest : public ::testing::Test {
  protected:
@@ -223,42 +232,75 @@ TEST_F(ObsTest, ResetAllZeroesEveryMetric) {
   EXPECT_EQ(obs::GetHistogram("test.reset_histogram")->Snapshot().count, 0);
 }
 
-#else  // RANKTIES_OBS_DISABLED
+// Off (the default) means off across the library: one call of every engine
+// with an obs site leaves every counter and histogram at zero and the
+// flight rings empty.
+TEST(ObsOffTest, EveryEngineLeavesNoTraceWhileOff) {
+  obs::Registry::Global().ResetAll();
+  obs::FlightRecorder::Global().Clear();
+  ASSERT_FALSE(obs::Enabled());
+  ASSERT_FALSE(obs::FlightRecorder::Global().enabled());
 
-TEST(ObsDisabledTest, ApiIsInertButValid) {
-  obs::SetEnabled(true);  // must be a no-op
-  EXPECT_FALSE(obs::Enabled());
-  obs::Counter* counter = obs::GetCounter("test.disabled_counter");
-  counter->Add(17);
-  EXPECT_EQ(counter->Value(), 0);
-  obs::Histogram* histogram = obs::GetHistogram("test.disabled_histogram");
-  histogram->Record(5);
-  EXPECT_EQ(histogram->Snapshot().count, 0);
-  RANKTIES_OBS_COUNT("test.disabled_macro", 1);
-  RANKTIES_OBS_RECORD("test.disabled_macro_h", 1);
-  EXPECT_TRUE(obs::Registry::Global().CounterSnapshots().empty());
-}
-
-TEST(ObsDisabledTest, TracingIsInertButValid) {
-  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
-  recorder.SetEnabled(true);
-  {
-    obs::FlightSpan span(obs::FlightEventId::kBatchMatrix);
-    span.SetArgs(1);
+  constexpr std::size_t kN = 12;
+  Rng rng(41);
+  std::vector<BucketOrder> lists;
+  for (int i = 0; i < 8; ++i) {
+    lists.push_back(RandomBucketOrderWithBuckets(kN, 4, rng));
   }
-  EXPECT_TRUE(recorder.Drain().empty());
-  EXPECT_FALSE(recorder.enabled());
-}
+  EXPECT_EQ(DistanceMatrix(MetricKind::kKprof, lists).size(), lists.size());
+  EXPECT_EQ(DistancesToAll(MetricKind::kFHaus, lists[0], lists).size(),
+            lists.size());
+  EXPECT_TRUE(BestInputAggregate(lists, MetricKind::kFprof).ok());
+  EXPECT_TRUE(MedrankTopK(lists, 3).ok());
+  MedrankStream stream(MakeSources(lists));
+  EXPECT_TRUE(stream.NextWinner().has_value());
+  EXPECT_TRUE(TaMedianTopK(lists, 3).ok());
+  EXPECT_TRUE(NraMedianTopK(lists, 3).ok());
 
-TEST(ObsDisabledTest, ExportsStayValidJson) {
-  const std::string doc = obs::PerfettoJsonDocument();
-  EXPECT_TRUE(BalancedJson(doc)) << doc;
-  EXPECT_TRUE(Contains(doc, "\"traceEvents\""));
-  const std::string metrics = obs::MetricsJsonObject();
-  EXPECT_TRUE(BalancedJson(metrics)) << metrics;
-}
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "obs_off.corpus")
+          .string();
+  {
+    store::CorpusWriter::Options options;
+    options.lists_per_chunk = 3;
+    StatusOr<store::CorpusWriter> writer =
+        store::CorpusWriter::Create(path, kN, options);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    for (const BucketOrder& order : lists) {
+      ASSERT_TRUE(writer->Append(order).ok());
+    }
+    ASSERT_TRUE(writer->Finish().ok());
+  }
+  StatusOr<store::CorpusReader> reader =
+      store::CorpusReader::Open(path, store::Pager::Options{});
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  EXPECT_TRUE(OutOfCoreDistanceMatrix(MetricKind::kKHaus, *reader).ok());
+  EXPECT_TRUE(
+      StreamingMedianRankScoresQuad(*reader, MedianPolicy::kLower).ok());
 
-#endif  // RANKTIES_OBS_DISABLED
+  StatusOr<IncrementalDistanceMatrix> incremental =
+      IncrementalDistanceMatrix::Create(MetricKind::kKprof, lists);
+  ASSERT_TRUE(incremental.ok()) << incremental.status();
+  EXPECT_TRUE(incremental->MoveToBucket(0, lists[0].bucket(0)[0], 3).ok());
+  EXPECT_TRUE(incremental->ReplaceList(1, lists[2]).ok());
+
+  OnlineMedianAggregator online(kN);
+  EXPECT_TRUE(online.AddVoter(lists[0]).ok());
+  EXPECT_TRUE(online.AddVoter(lists[1]).ok());
+  EXPECT_TRUE(online.UpdateVoter(0, lists[2]).ok());
+  EXPECT_TRUE(online.RemoveVoter(1).ok());
+
+  for (const obs::CounterSnapshot& counter :
+       obs::Registry::Global().CounterSnapshots()) {
+    EXPECT_EQ(counter.value, 0) << counter.name;
+  }
+  for (const obs::HistogramSnapshot& histogram :
+       obs::Registry::Global().HistogramSnapshots()) {
+    EXPECT_EQ(histogram.count, 0) << histogram.name;
+    EXPECT_EQ(histogram.sum, 0) << histogram.name;
+  }
+  EXPECT_TRUE(obs::FlightRecorder::Global().Drain().empty());
+}
 
 }  // namespace
 }  // namespace rankties

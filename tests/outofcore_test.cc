@@ -82,9 +82,8 @@ std::uint64_t ChunkBytes(const store::CorpusReader& reader, std::size_t c) {
 }
 
 // Runs every metric out of core at `budget` and checks each matrix bit for
-// bit against DistanceMatrix. With `expected_loads` >= 0 and the obs layer
-// on, each call must also make exactly that many chunk loads (the check
-// skips when obs is compiled out, where the counter reads 0).
+// bit against DistanceMatrix. With `expected_loads` >= 0 (callers turn the
+// obs layer on), each call must also make exactly that many chunk loads.
 void ExpectBitExactAtBudget(const std::vector<BucketOrder>& corpus,
                             store::CorpusReader& reader, std::uint64_t budget,
                             std::int64_t expected_loads) {
@@ -98,7 +97,7 @@ void ExpectBitExactAtBudget(const std::vector<BucketOrder>& corpus,
     ASSERT_TRUE(blocked.ok()) << blocked.status();
     EXPECT_EQ(*blocked, DistanceMatrix(kind, corpus))
         << MetricName(kind) << " at budget " << budget;
-    if (expected_loads >= 0 && obs::Enabled()) {
+    if (expected_loads >= 0) {
       EXPECT_EQ(loads->Value() - before, expected_loads)
           << MetricName(kind) << " at budget " << budget;
     }

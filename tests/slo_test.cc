@@ -18,8 +18,6 @@
 namespace rankties {
 namespace {
 
-#ifndef RANKTIES_OBS_DISABLED
-
 class SloTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -157,25 +155,6 @@ TEST_F(SloTest, ResetAllDropsUnits) {
   obs::SloRegistry::Global().ResetAll();
   EXPECT_TRUE(obs::SloRegistry::Global().UnitSnapshots().empty());
 }
-
-#else  // RANKTIES_OBS_DISABLED
-
-TEST(SloDisabledTest, ApiIsInertButValid) {
-  obs::Counter* counter = obs::GetCounter("test.slo.disabled");
-  {
-    obs::QueryUnitScope unit("test.slo.disabled_unit");
-    counter->Add(5);
-    EXPECT_EQ(unit.Attributed(counter), 0);
-    EXPECT_TRUE(unit.AttributedSnapshots().empty());
-    EXPECT_EQ(unit.unit(), "test.slo.disabled_unit");
-  }
-  EXPECT_TRUE(obs::SloRegistry::Global().UnitSnapshots().empty());
-  const obs::QueryUnitSnapshot snapshot =
-      obs::SloRegistry::Global().UnitSnapshot("test.slo.disabled_unit");
-  EXPECT_EQ(snapshot.queries, 0);
-}
-
-#endif  // RANKTIES_OBS_DISABLED
 
 }  // namespace
 }  // namespace rankties
